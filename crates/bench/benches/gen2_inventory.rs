@@ -27,7 +27,7 @@ fn bench_inventory_mac(c: &mut Criterion) {
                 inv.run(
                     1.0,
                     &mut rng,
-                    |_t| (0..25).map(TagId).collect(),
+                    |_t, powered: &mut Vec<TagId>| powered.extend((0..25).map(TagId)),
                     |_id, _t| reads += 1,
                 );
                 black_box(reads)
@@ -53,7 +53,7 @@ fn bench_population_scaling(c: &mut Criterion) {
                 inv.run(
                     1.0,
                     &mut rng,
-                    |_t| (0..n).map(TagId).collect(),
+                    |_t, powered: &mut Vec<TagId>| powered.extend((0..n).map(TagId)),
                     |_id, _t| reads += 1,
                 );
                 black_box(reads)

@@ -245,7 +245,9 @@ impl Scene {
     ///
     /// # Panics
     ///
-    /// Panics if `tags` is empty.
+    /// Panics if `tags` is empty, or if two tags share a [`TagId`]: every
+    /// lookup by id (observation, the forward-link gate, neighbour
+    /// shadowing) needs the id to name one tag.
     pub fn new(
         antenna: ReaderAntenna,
         tags: Vec<Tag>,
@@ -253,6 +255,11 @@ impl Scene {
         config: SceneConfig,
     ) -> Self {
         assert!(!tags.is_empty(), "scene needs at least one tag");
+        let mut ids: Vec<TagId> = tags.iter().map(|tag| tag.id).collect();
+        ids.sort_unstable();
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("scene tag ids must be unique: {} appears twice", pair[0]);
+        }
         let lambda = config.frequency.wavelength();
         let static_shadow_db = if config.intra_array_coupling {
             tags.iter()
@@ -463,12 +470,30 @@ impl Scene {
     /// Tags are matched by id against the scene's cache; a tag the scene
     /// does not know is evaluated fresh with zero neighbour shadowing.
     pub fn forward_power_at(&self, tag: &Tag, targets: &[TargetSample]) -> Dbm {
-        let link = match self.tag_index(tag.id) {
+        Dbm(self.forward_dbm(tag, &self.link_for(tag), targets))
+    }
+
+    /// The link statics of `tag`: cached when the scene knows its id,
+    /// computed fresh with zero neighbour shadowing otherwise.
+    fn link_for(&self, tag: &Tag) -> LinkStatics {
+        match self.tag_index(tag.id) {
             Some(index) => self.cache[index].link,
             None => self.link_statics_for(tag, 0.0),
-        };
-        let (extra, _) = self.target_losses(tag, link.static_loss_db, targets);
-        Dbm(link.base_forward_dbm - extra)
+        }
+    }
+
+    /// Forward power (dBm) at `tag`'s IC with the given target samples
+    /// present: the one definition behind [`Scene::forward_power_at`],
+    /// [`Scene::is_readable`] and [`Scene::readable_into`].
+    fn forward_dbm(&self, tag: &Tag, link: &LinkStatics, samples: &[TargetSample]) -> f64 {
+        let (extra, _) = self.target_losses(tag, link.static_loss_db, samples);
+        link.base_forward_dbm - extra
+    }
+
+    /// The forward-link gate: whether `tag` harvests enough power to
+    /// respond.
+    fn is_powered(&self, tag: &Tag, link: &LinkStatics, samples: &[TargetSample]) -> bool {
+        self.forward_dbm(tag, link, samples) >= tag.model.sensitivity().value()
     }
 
     /// Angle between the reader→tag direction and the tag's plate normal
@@ -486,7 +511,23 @@ impl Scene {
     /// present.
     pub fn is_readable(&self, tag: &Tag, t: f64, targets: &[&dyn MovingTarget]) -> bool {
         let samples = sample_targets(targets, t);
-        self.forward_power_at(tag, &samples).value() >= tag.model.sensitivity().value()
+        self.is_powered(tag, &self.link_for(tag), &samples)
+    }
+
+    /// Replaces `out` with the ids of every scene tag that can respond at
+    /// time `t`, in scene order — the same set as filtering
+    /// [`Scene::tags`] with [`Scene::is_readable`], at the cost of one
+    /// sample per moving target instead of one per tag.
+    pub fn readable_into(&self, t: f64, targets: &[&dyn MovingTarget], out: &mut Vec<TagId>) {
+        out.clear();
+        let samples = sample_targets(targets, t);
+        out.extend(
+            self.tags
+                .iter()
+                .zip(&self.cache)
+                .filter(|(tag, cache)| self.is_powered(tag, &cache.link, &samples))
+                .map(|(tag, _)| tag.id),
+        );
     }
 
     /// Noiseless complex baseband response of `tag` at time `t`.
@@ -888,6 +929,27 @@ mod tests {
         assert!(obs.phase >= 0.0 && obs.phase < TAU);
         let rss_steps = obs.rss_dbm / noise::RSS_STEP_DB;
         assert!((rss_steps - rss_steps.round()).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "scene tag ids must be unique: tag-0003 appears twice")]
+    fn duplicate_tag_ids_are_rejected() {
+        let array = TagArray::grid(2, 3, 0.06, Vec3::ZERO, TagModel::TypeB, |_| 0.0);
+        let mut tags = array.tags().to_vec();
+        let mut twin = tags[3];
+        twin.position = Vec3::new(0.5, 0.5, 0.0);
+        tags.push(twin);
+        let antenna = ReaderAntenna::new(
+            Vec3::new(0.06, -0.03, -0.32),
+            Vec3::new(0.0, 0.0, 1.0),
+            crate::units::Dbi(8.0),
+        );
+        Scene::new(
+            antenna,
+            tags,
+            Environment::free_space(),
+            SceneConfig::default(),
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 use crate::geometry::Vec3;
 use crate::units::Dbm;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A stable identifier for a simulated tag. Maps 1:1 to an EPC in the
 /// `rfid-gen2` crate.
@@ -24,6 +26,49 @@ impl fmt::Display for TagId {
         write!(f, "tag-{:04}", self.0)
     }
 }
+
+/// A cheap multiplicative hasher for [`TagId`] keys.
+///
+/// `std`'s default SipHash dominates each probe for a key that is just one
+/// `u64`, and both the Gen2 session flags and the recognition pipeline's
+/// per-tag state probe such maps per read. This hasher multiplies the id by
+/// 2⁶⁴/φ, the classic Fibonacci-hashing constant, which spreads its bits
+/// into the high word that `HashMap` folds down for bucket selection, so
+/// consecutive ids land in well-separated buckets. Tag ids come from the
+/// deployment's own tag plate (not from untrusted input), so HashDoS
+/// resistance buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct TagIdHasher(u64);
+
+/// 2⁶⁴ divided by the golden ratio, rounded to odd.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+// `#[inline]` keeps the probes as cheap from the crates that build these
+// maps as from this one.
+impl Hasher for TagIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    // Fallback for non-integer writes (unused by `TagId`'s derived Hash,
+    // which calls `write_u64`): fold bytes with the same multiplier.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIB);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(FIB);
+    }
+}
+
+/// A `HashMap` keyed by [`TagId`] (or any `u64`-hashing key) using
+/// [`TagIdHasher`]. Iteration order is arbitrary, as with any `HashMap`.
+pub type TagIdMap<K, V> = HashMap<K, V, BuildHasherDefault<TagIdHasher>>;
 
 /// The four commercial tag designs evaluated in the paper's Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -299,6 +344,33 @@ impl TagArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn map_roundtrip_and_distinct_hashes() {
+        let mut map: TagIdMap<TagId, usize> = TagIdMap::default();
+        for i in 0..64 {
+            map.insert(TagId(i), i as usize);
+        }
+        assert_eq!(map.len(), 64);
+        for i in 0..64 {
+            assert_eq!(map.get(&TagId(i)), Some(&(i as usize)));
+        }
+        // Consecutive ids must not collapse onto one hash.
+        let mut h0 = TagIdHasher::default();
+        h0.write_u64(1);
+        let mut h1 = TagIdHasher::default();
+        h1.write_u64(2);
+        assert_ne!(h0.finish(), h1.finish());
+    }
+
+    #[test]
+    fn byte_fallback_matches_itself_only() {
+        let mut a = TagIdHasher::default();
+        a.write(b"abc");
+        let mut b = TagIdHasher::default();
+        b.write(b"abd");
+        assert_ne!(a.finish(), b.finish());
+    }
 
     fn array() -> TagArray {
         TagArray::grid(5, 5, 0.06, Vec3::ZERO, TagModel::TypeB, |id| {

@@ -1,12 +1,39 @@
 //! Property-based tests of the physics substrate's invariants.
 
 use proptest::prelude::*;
+use rf_sim::antenna::ReaderAntenna;
 use rf_sim::channel;
 use rf_sim::coupling;
+use rf_sim::environment::Environment;
 use rf_sim::geometry::{Complex, Vec3};
 use rf_sim::noise::{quantize_phase, quantize_rss, PHASE_STEP, RSS_STEP_DB};
-use rf_sim::tags::{Facing, Tag, TagId, TagModel};
+use rf_sim::scene::{HoppingPlan, Scene, SceneConfig};
+use rf_sim::tags::{Facing, Tag, TagArray, TagId, TagModel};
+use rf_sim::targets::{MovingTarget, StaticTarget};
 use rf_sim::units::{Db, Dbi, Dbm, Meters};
+
+/// The paper's 5×5 Type B plate with the antenna 32 cm behind its centre.
+fn plate_scene(hopping: bool, coupling: bool) -> Scene {
+    let array = TagArray::grid(5, 5, 0.06, Vec3::ZERO, TagModel::TypeB, |id| {
+        id.0 as f64 * 2.399
+    });
+    let c = array.center();
+    let antenna = ReaderAntenna::new(
+        Vec3::new(c.x, c.y, -0.32),
+        Vec3::new(0.0, 0.0, 1.0),
+        Dbi(8.0),
+    );
+    Scene::new(
+        antenna,
+        array.tags().to_vec(),
+        Environment::office_location(2),
+        SceneConfig {
+            hopping: hopping.then(HoppingPlan::fcc),
+            intra_array_coupling: coupling,
+            ..SceneConfig::default()
+        },
+    )
+}
 
 proptest! {
     /// dBm ↔ watts round-trips.
@@ -107,6 +134,43 @@ proptest! {
     ) {
         let rho = channel::reflection_amplitude(d_rt, d_rh, d_ht, rcs, 2.0);
         prop_assert!((0.0..=2.0).contains(&rho));
+    }
+
+    /// The once-per-check powered set equals filtering the tags one by one
+    /// with `is_readable`, whatever the targets, hopping plan, coupling and
+    /// transmit power. Targets roam the plate's near field, in front of it
+    /// and between it and the antenna; powers near the sensitivity floor
+    /// leave only part of the plate readable.
+    #[test]
+    fn readable_into_matches_per_tag_is_readable(
+        n_targets in 0usize..4,
+        spots in prop::collection::vec(
+            (-0.1f64..0.35, -0.35f64..0.1, -0.3f64..0.2, 0.005f64..0.06),
+            3..4,
+        ),
+        hopping in any::<bool>(),
+        coupling in any::<bool>(),
+        tx_dbm in 8.0f64..32.0,
+        t in 0.0f64..12.0,
+    ) {
+        let mut scene = plate_scene(hopping, coupling);
+        scene.set_tx_power(Dbm(tx_dbm));
+        let statics: Vec<StaticTarget> = spots[..n_targets]
+            .iter()
+            .map(|&(x, y, z, rcs)| StaticTarget::new(Vec3::new(x, y, z), rcs))
+            .collect();
+        let targets: Vec<&dyn MovingTarget> =
+            statics.iter().map(|s| s as &dyn MovingTarget).collect();
+        let want: Vec<TagId> = scene
+            .tags()
+            .iter()
+            .filter(|tag| scene.is_readable(tag, t, &targets))
+            .map(|tag| tag.id)
+            .collect();
+        // A stale, longer buffer must be replaced, not appended to.
+        let mut got = vec![TagId(999); 30];
+        scene.readable_into(t, &targets, &mut got);
+        prop_assert_eq!(got, want);
     }
 
     /// Obstruction attenuation is bounded by its maximum and zero for

@@ -104,42 +104,32 @@ impl Gen2Reader {
             self.config.search,
             start,
         );
-        let mut events: Vec<TagReport> = Vec::new();
-
-        // The powered set changes on hand-motion time scales; cache it and
-        // refresh on the configured interval instead of per slot.
+        // Two phases. The MAC runs first and records when each tag is
+        // singulated; the scene is then observed at those instants. The
+        // inventory holds the rng while it runs, so observation noise is
+        // drawn from it afterwards, in read order.
+        //
+        // The powered set changes on hand-motion time scales; it is cached
+        // and refreshed on the configured interval instead of per slot, and
+        // each refresh samples the moving targets once.
         let mut cache_time = f64::NEG_INFINITY;
-        let mut cached: Vec<TagId> = Vec::new();
+        let mut cached: Vec<TagId> = Vec::with_capacity(scene.tags().len());
         let interval = self.config.power_check_interval_s;
-
-        // The inventory callback cannot carry the rng (already borrowed), so
-        // pre-draw observation noise seeds per read via a child closure that
-        // defers observation until after the run? Simpler: collect read
-        // instants first, then observe. Read ordering is deterministic given
-        // the rng, and observation noise is drawn afterwards from the same
-        // rng — statistically equivalent.
         let mut read_instants: Vec<(TagId, f64)> = Vec::new();
-        {
-            let powered = |t: f64| -> Vec<TagId> {
-                scene
-                    .tags()
-                    .iter()
-                    .filter(|tag| scene.is_readable(tag, t, targets))
-                    .map(|tag| tag.id)
-                    .collect()
-            };
-            let mut powered_cached = |t: f64| -> Vec<TagId> {
+        inventory.run(
+            start + duration,
+            rng,
+            |t, powered: &mut Vec<TagId>| {
                 if t - cache_time >= interval {
                     cache_time = t;
-                    cached = powered(t);
+                    scene.readable_into(t, targets, &mut cached);
                 }
-                cached.clone()
-            };
-            inventory.run(start + duration, rng, &mut powered_cached, |id, t| {
-                read_instants.push((id, t));
-            });
-        }
+                powered.extend_from_slice(&cached);
+            },
+            |id, t| read_instants.push((id, t)),
+        );
 
+        let mut events: Vec<TagReport> = Vec::with_capacity(read_instants.len());
         let hopping = scene.config().hopping.as_ref();
         for (id, t) in read_instants {
             if let Some(observation) = scene.observe(id, t, targets, rng) {
@@ -328,6 +318,77 @@ mod tests {
         for e in &run.events {
             assert!(e.channel_index >= 1, "hopping indices are 1-based");
             assert_eq!(e.channel_index as usize, plan.index_at(e.time) + 1);
+        }
+    }
+
+    /// A static target that records every instant the scene samples it.
+    struct CountingTarget {
+        inner: StaticTarget,
+        sampled_at: std::cell::RefCell<Vec<f64>>,
+    }
+
+    impl MovingTarget for CountingTarget {
+        fn sample(&self, t: f64) -> Option<rf_sim::targets::TargetSample> {
+            self.sampled_at.borrow_mut().push(t);
+            self.inner.sample(t)
+        }
+    }
+
+    /// The reader samples each target once per powered-set refresh and
+    /// twice per observed read (the read instant and the Doppler step 1 ms
+    /// later) — never once per tag per refresh.
+    #[test]
+    fn targets_are_sampled_once_per_refresh_and_twice_per_read() {
+        let counting = |position| CountingTarget {
+            inner: StaticTarget::new(position, 0.02),
+            sampled_at: std::cell::RefCell::new(Vec::new()),
+        };
+        // Both targets sit off the plate, so every singulated tag is
+        // still powered when observed and each read yields a report.
+        let hand = counting(Vec3::new(0.5, 0.3, 0.2));
+        let arm = counting(Vec3::new(0.7, 0.5, 0.3));
+        let reader = Gen2Reader::default();
+        let interval = reader.config().power_check_interval_s;
+        let duration = 1.0;
+        let mut rng = StdRng::seed_from_u64(18);
+        let run = reader.run(&scene(), &[&hand, &arm], 0.0, duration, &mut rng);
+        assert!(run.events.len() > 100, "reads: {}", run.events.len());
+
+        for target in [&hand, &arm] {
+            let sampled_at = target.sampled_at.borrow();
+            // Take away the two samples each observed read accounts for;
+            // what remains are the powered-set refreshes.
+            let mut counts: std::collections::BTreeMap<u64, u32> = Default::default();
+            for t in sampled_at.iter() {
+                *counts.entry(t.to_bits()).or_default() += 1;
+            }
+            for e in &run.events {
+                for t in [e.time, e.time + 1e-3] {
+                    let count = counts.get_mut(&t.to_bits()).expect("read instant sampled");
+                    *count -= 1;
+                }
+            }
+            let refreshes: Vec<f64> = counts
+                .iter()
+                .filter(|(_, &count)| count > 0)
+                .map(|(&bits, &count)| {
+                    assert_eq!(count, 1, "{count} samples at one refresh instant");
+                    f64::from_bits(bits)
+                })
+                .collect();
+            assert_eq!(
+                sampled_at.len(),
+                refreshes.len() + 2 * run.events.len(),
+                "samples beyond one per refresh and two per read"
+            );
+            for pair in refreshes.windows(2) {
+                assert!(pair[1] - pair[0] >= interval, "refreshes {pair:?}");
+            }
+            assert!(
+                refreshes.len() as f64 > duration / (2.0 * interval),
+                "only {} refreshes",
+                refreshes.len()
+            );
         }
     }
 

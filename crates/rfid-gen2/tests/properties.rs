@@ -1,13 +1,16 @@
 //! Property-based tests of the Gen2 protocol substrate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rf_sim::tags::TagId;
 use rfid_gen2::crc::{crc16, crc16_verify, crc5, crc5_verify};
 use rfid_gen2::epc::Epc96;
+use rfid_gen2::inventory::Inventory;
 use rfid_gen2::llrp::{decode_report, encode_report, LlrpMessage};
 use rfid_gen2::report::TagReport;
 use rfid_gen2::trace::{read_trace, write_trace, TraceFormat};
-use rfid_gen2::QAlgorithm;
+use rfid_gen2::{InventoryStats, LinkParams, QAlgorithm, SearchMode};
 
 /// Builds a report from a proptest-drawn tuple.
 fn report_from(
@@ -141,5 +144,94 @@ proptest! {
             }
             prop_assert!(q.q() <= 15);
         }
+    }
+}
+
+/// Tags `0..population`, less a shadow that moves every 5 ms and silences
+/// one tag in nine: the powered set changes between round start and reply
+/// time, so the reply-time power check gets exercised.
+fn shadowed_population(population: u64, t: f64, out: &mut Vec<TagId>) {
+    let phase = (t * 200.0) as u64;
+    out.extend(
+        (0..population)
+            .filter(|i| !(phase + i).is_multiple_of(9))
+            .map(TagId),
+    );
+}
+
+/// Folds `bytes` into a 64-bit FNV-1a digest.
+fn fnv1a(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// `(population, initial Q, search mode, seed, [rounds, slots, empties,
+/// collisions, successes], reads, read-stream digest)`.
+type PinnedRun = (u64, u8, SearchMode, u64, [u64; 5], u64, u64);
+
+/// The MAC's output, pinned across populations, initial Qs, search modes
+/// and seeds: `InventoryStats` and an FNV-1a digest of the
+/// `(id, time.to_bits())` read stream over 0.5 s of an M=4 link. Any change
+/// to slot draws, their order, Q adaptation, session flags or link timing
+/// moves a digest.
+#[test]
+fn inventory_output_is_pinned_across_configurations() {
+    #[rustfmt::skip]
+    let pinned: &[PinnedRun] = &[
+        (0, 4, SearchMode::DualTarget, 11, [639, 639, 639, 0, 0], 0, 0xcbf29ce484222325),
+        (0, 4, SearchMode::DualTarget, 12, [639, 639, 639, 0, 0], 0, 0xcbf29ce484222325),
+        (1, 0, SearchMode::DualTarget, 11, [238, 238, 149, 0, 89], 89, 0xc4ccdc8a1c905095),
+        (1, 0, SearchMode::DualTarget, 12, [238, 238, 149, 0, 89], 89, 0xc4ccdc8a1c905095),
+        (1, 15, SearchMode::SingleTargetA, 11, [629, 651, 650, 0, 1], 1, 0x6d8cc158a700ee2e),
+        (1, 15, SearchMode::SingleTargetA, 12, [628, 654, 653, 0, 1], 1, 0x0f57178ad247b5a9),
+        (5, 0, SearchMode::SingleTargetA, 11, [609, 618, 606, 7, 5], 5, 0x89967f5843ffaf19),
+        (5, 0, SearchMode::SingleTargetA, 12, [605, 612, 600, 6, 6], 5, 0xbe9ae840bcbd41e4),
+        (5, 8, SearchMode::DualTarget, 11, [169, 440, 337, 18, 85], 75, 0x5fa01ab62a43128e),
+        (5, 8, SearchMode::DualTarget, 12, [164, 440, 336, 18, 86], 79, 0x535ae0ec041f9c6b),
+        (25, 4, SearchMode::DualTarget, 11, [101, 285, 111, 80, 94], 89, 0xa02ab8d2fe372f41),
+        (25, 4, SearchMode::DualTarget, 12, [94, 288, 111, 82, 95], 82, 0x9b1974eabe563ea1),
+        (25, 8, SearchMode::SingleTargetA, 11, [493, 547, 504, 17, 26], 25, 0xcfcb737d3d30a559),
+        (25, 8, SearchMode::SingleTargetA, 12, [474, 529, 480, 19, 30], 25, 0xd55f5a88019a30c7),
+        (25, 15, SearchMode::DualTarget, 11, [141, 360, 212, 61, 87], 78, 0xcc421c537dd796d1),
+        (25, 15, SearchMode::DualTarget, 12, [124, 366, 214, 64, 88], 81, 0x16ca0e4b478dded7),
+        (60, 0, SearchMode::DualTarget, 11, [98, 284, 87, 107, 90], 80, 0x1e2e83eafda3fb4c),
+        (60, 0, SearchMode::DualTarget, 12, [99, 289, 90, 110, 89], 81, 0xe45c8eacd501fecf),
+        (60, 4, SearchMode::SingleTargetA, 11, [213, 370, 217, 83, 70], 60, 0x61a1f99a0e2a5ca3),
+        (60, 4, SearchMode::SingleTargetA, 12, [245, 386, 253, 66, 67], 60, 0x383ab257930aad08),
+        (60, 15, SearchMode::DualTarget, 11, [101, 323, 149, 83, 91], 77, 0x53896c3c0c559bea),
+        (60, 15, SearchMode::DualTarget, 12, [116, 317, 149, 78, 90], 85, 0x691936e1e534426e),
+    ];
+    for &(population, q, search, seed, counts, want_reads, want_digest) in pinned {
+        let mut inv = Inventory::new(LinkParams::dense_reader_m4(), q, search, 0.25);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut reads = 0u64;
+        inv.run(
+            0.75,
+            &mut rng,
+            |t, out| shadowed_population(population, t, out),
+            |id, t| {
+                reads += 1;
+                fnv1a(&mut digest, &id.0.to_le_bytes());
+                fnv1a(&mut digest, &t.to_bits().to_le_bytes());
+            },
+        );
+        let [rounds, slots, empties, collisions, successes] = counts;
+        let want = InventoryStats {
+            rounds,
+            slots,
+            empties,
+            collisions,
+            successes,
+        };
+        let config = format!("population {population}, Q {q}, {search:?}, seed {seed}");
+        assert_eq!(*inv.stats(), want, "stats for {config}");
+        assert_eq!(reads, want_reads, "reads for {config}");
+        assert_eq!(
+            digest, want_digest,
+            "read-stream digest for {config}: 0x{digest:016x}"
+        );
     }
 }

@@ -8,8 +8,7 @@
 
 use crate::calibration::{wrap_to_pi, Calibration};
 use crate::layout::ArrayLayout;
-use crate::tagmap::TagIdMap;
-use rfid_gen2::report::{TagId, TagReport};
+use rfid_gen2::report::{TagId, TagIdMap, TagReport};
 use serde::{Deserialize, Serialize};
 use sigproc::series::TimeSeries;
 use sigproc::unwrap::StreamingUnwrapper;

@@ -45,6 +45,21 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q
 
+echo "== simulator pin (perfbench tests + recorded letter accuracy) =="
+# A simulator change must not shift accuracy unnoticed: the benchmark's own
+# tests must pass, and the correct-letter counts it recomputes for seeds
+# 0-2 must equal the recorded reference lines. Reads perfbench files only.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+pinned=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+  --bin perfbench -- --record-reference 0 2)
+reference=$(awk -F'\t' '$1 ~ /^[0-9]+$/ && $1 <= 2' perfbench/reference/simulate_correct.tsv)
+if [ "$pinned" != "$reference" ]; then
+  echo "bench-check: simulate correct-letter counts moved for seeds 0-2" >&2
+  diff <(echo "$reference") <(echo "$pinned") >&2 || true
+  exit 1
+fi
+echo "simulate seeds 0-2 match perfbench/reference/simulate_correct.tsv: OK"
+
 echo "== quick criterion pass (observe cache + pipeline) =="
 CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench observe_cache
 CRITERION_SAMPLE_MS=${CRITERION_SAMPLE_MS:-150} cargo bench -p bench --bench pipeline
