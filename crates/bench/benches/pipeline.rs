@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
-use rfipad::pipeline::OnlinePipeline;
+use rfipad::StageGraph;
 use rfipad::{Calibration, RfipadConfig};
 use std::hint::black_box;
 
@@ -73,7 +73,7 @@ fn bench_online_pipeline(c: &mut Criterion) {
     c.bench_function("online_pipeline/letter_T_stream", |b| {
         b.iter_batched(
             || {
-                OnlinePipeline::builder()
+                StageGraph::builder()
                     .recognizer(bench.recognizer.clone())
                     .letter_gap_s(1.5)
                     .build()

@@ -7,7 +7,7 @@
 //!   (`sigproc::kernel::reference`). The reference timings include their
 //!   allocation cost on purpose: that *is* the price the kernels remove.
 //! * `hot_path_allocs` — feeds a quiet synthetic session through
-//!   `OnlinePipeline` long enough to pass two retention-trim cycles (so
+//!   `StageGraph` long enough to pass two retention-trim cycles (so
 //!   every recycled buffer reached its high-water capacity), then counts
 //!   heap allocations over a trim-free measurement window. Steady-state
 //!   per-tick processing must allocate exactly zero times.
@@ -16,7 +16,7 @@
 //! `cargo run --release -p bench --features count-allocs --bin kernel_bench`
 
 use rfid_gen2::report::{TagId, TagReport};
-use rfipad::{ArrayLayout, Calibration, OnlinePipeline, Recognizer, RfipadConfig};
+use rfipad::{ArrayLayout, Calibration, Recognizer, RfipadConfig, StageGraph};
 use sigproc::kernel::{self, reference, Scratch};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -233,7 +233,7 @@ fn run_kernel_bench() -> String {
 /// A pipeline over a 1×3 pad with a synthetic static calibration — the
 /// quiet stream never produces events, so the measurement window
 /// exercises exactly the per-tick framing/segmentation hot path.
-fn quiet_pipeline() -> OnlinePipeline {
+fn quiet_pipeline() -> StageGraph {
     let layout = ArrayLayout::new(1, 3, (0..3).map(TagId).collect());
     let static_obs: Vec<TagReport> = (0..40)
         .flat_map(|j| {
@@ -255,7 +255,7 @@ fn quiet_pipeline() -> OnlinePipeline {
         .config(config)
         .build()
         .expect("recognizer");
-    OnlinePipeline::builder()
+    StageGraph::builder()
         .recognizer(recognizer)
         .build()
         .expect("pipeline")
@@ -269,7 +269,7 @@ fn quiet_pipeline() -> OnlinePipeline {
 const WARMUP_STEPS: u64 = 820; // 41.0 s simulated
 const MEASURED_STEPS: u64 = 64; // 3.2 s more, ends before the ~45 s trim
 
-fn push_step(pipeline: &mut OnlinePipeline, events: &mut Vec<rfipad::PipelineEvent>, j: u64) {
+fn push_step(pipeline: &mut StageGraph, events: &mut Vec<rfipad::PipelineEvent>, j: u64) {
     for i in 0..3u64 {
         let t = j as f64 * 0.05 + i as f64 * 0.01;
         pipeline.push_into(

@@ -86,7 +86,7 @@ fn time_trace_replay(bench: &Bench, encoded: &[u8], iters: u32) -> (f64, usize) 
 }
 
 /// Times the serial streaming pipeline over the golden session: every
-/// report pushed through `OnlinePipeline::push_into` (the incremental
+/// report pushed through `StageGraph::push_into` (the incremental
 /// framing / cached-streams hot path) plus the final flush. Returns
 /// (reports per second, reports per replay); asserts the letter so a
 /// regression in the incremental path cannot silently score as a speedup.
@@ -94,12 +94,12 @@ fn time_incremental_framing(
     bench: &Bench,
     reports: &[rfid_gen2::report::TagReport],
 ) -> (f64, usize) {
-    use rfipad::{OnlinePipeline, PipelineEvent};
+    use rfipad::{PipelineEvent, StageGraph};
     let rounds = 20;
     let mut events = Vec::new();
     let start = Instant::now();
     for _ in 0..rounds {
-        let mut pipeline = OnlinePipeline::builder()
+        let mut pipeline = StageGraph::builder()
             .recognizer(bench.recognizer.clone())
             .letter_gap_s(1.5)
             .build()

@@ -28,7 +28,7 @@ use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};
 use rfipad::engine::{normalize_events, Backpressure, Engine, LatencySnapshot};
-use rfipad::{OnlinePipeline, PipelineEvent, Recognizer};
+use rfipad::{PipelineEvent, Recognizer, StageGraph};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,8 +94,8 @@ fn golden_reports(recognizer_bench: &experiments::Bench) -> Vec<TagReport> {
     golden_trial(recognizer_bench).reports
 }
 
-fn session_pipeline(recognizer: &Recognizer) -> OnlinePipeline {
-    OnlinePipeline::builder()
+fn session_pipeline(recognizer: &Recognizer) -> StageGraph {
+    StageGraph::builder()
         .recognizer(recognizer.clone())
         .letter_gap_s(1.5)
         .build()

@@ -3,7 +3,7 @@
 //!
 //! The paper streams 50 records per motion through its C# software on a
 //! 2013 laptop and sees responses below 0.1 s. We push the report stream of
-//! each trial through [`rfipad::OnlinePipeline`] and record the compute
+//! each trial through [`rfipad::StageGraph`] and record the compute
 //! time of each stroke report.
 
 use experiments::report::print_table;
@@ -12,7 +12,7 @@ use hand_kinematics::stroke::Stroke;
 use hand_kinematics::user::UserProfile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfipad::{OnlinePipeline, PipelineEvent, RfipadConfig};
+use rfipad::{PipelineEvent, RfipadConfig, StageGraph};
 use sigproc::stats;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
                 &user,
                 2400 + rep as u64 * 37 + stroke.shape.motion_number() as u64,
             );
-            let mut pipeline = OnlinePipeline::builder()
+            let mut pipeline = StageGraph::builder()
                 .recognizer(bench.recognizer.clone())
                 .letter_gap_s(1.5)
                 .build()

@@ -22,10 +22,9 @@
 //! golden bench and writes the trace; the framing is picked from the file
 //! extension (`.jsonl` → JSON lines, anything else → binary). `inspect`
 //! prints a summary without recognizing. `replay` feeds the trace through
-//! the batch recognizer and the online pipeline of a freshly rebuilt
-//! golden bench and prints what they see. `stats` replays the trace
-//! through an instrumented online pipeline and prints the Prometheus text
-//! exposition of the process-global metrics registry (self-validated);
+//! the recognizer of a freshly rebuilt golden bench and prints what it
+//! sees. `stats` replays the trace through the instrumented recognizer
+//! and prints the Prometheus text exposition of the process-global metrics registry (self-validated);
 //! with `--bench` it also times instrumented vs `RFIPAD_LOG=off` replays
 //! and merges a `telemetry_overhead` entry into `BENCH_pipeline.json`.
 //! `checkpoint` interrupts an online replay halfway, ships the session
@@ -41,7 +40,7 @@ use hand_kinematics::user::UserProfile;
 use rfid_gen2::report::TagReport;
 use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::trace::{write_trace_file, TraceFormat};
-use rfipad::{OnlinePipeline, PipelineEvent, Recognizer, RfipadError};
+use rfipad::{Recognizer, RfipadError, StageGraph};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -121,7 +120,7 @@ fn replay(path: &str) -> Result<(), RfipadError> {
     let bench = golden_bench();
 
     let result = bench.recognizer.recognize_session(&reports);
-    println!("batch replay of {} reports:", reports.len());
+    println!("replay of {} reports:", reports.len());
     for (i, s) in result.strokes.iter().enumerate() {
         println!(
             "  stroke {}: {} over {:.2} .. {:.2} s",
@@ -132,28 +131,6 @@ fn replay(path: &str) -> Result<(), RfipadError> {
         );
     }
     println!("  letter: {:?}", result.letter);
-
-    let mut pipeline = OnlinePipeline::builder()
-        .recognizer(bench.recognizer.clone())
-        .letter_gap_s(1.5)
-        .build()?;
-    let mut online_letter = None;
-    let mut strokes = 0usize;
-    for r in &reports {
-        for event in pipeline.push(*r) {
-            match event {
-                PipelineEvent::StrokeDetected { .. } => strokes += 1,
-                PipelineEvent::LetterRecognized { letter, .. } => online_letter = letter,
-            }
-        }
-    }
-    for event in pipeline.finish() {
-        match event {
-            PipelineEvent::StrokeDetected { .. } => strokes += 1,
-            PipelineEvent::LetterRecognized { letter, .. } => online_letter = letter,
-        }
-    }
-    println!("online replay: {strokes} strokes, letter {online_letter:?}");
 
     let live = golden_trial(&bench);
     if reports == live.reports {
@@ -167,32 +144,6 @@ fn replay(path: &str) -> Result<(), RfipadError> {
     Ok(())
 }
 
-/// One full online replay of `reports`; returns (strokes, letter).
-fn replay_online(
-    recognizer: &Recognizer,
-    reports: &[TagReport],
-) -> Result<(usize, Option<char>), RfipadError> {
-    let mut pipeline = OnlinePipeline::builder()
-        .recognizer(recognizer.clone())
-        .letter_gap_s(1.5)
-        .build()?;
-    let mut letter = None;
-    let mut strokes = 0usize;
-    let mut handle = |event: PipelineEvent| match event {
-        PipelineEvent::StrokeDetected { .. } => strokes += 1,
-        PipelineEvent::LetterRecognized { letter: l, .. } => letter = l,
-    };
-    for r in reports {
-        for event in pipeline.push(*r) {
-            handle(event);
-        }
-    }
-    for event in pipeline.finish() {
-        handle(event);
-    }
-    Ok((strokes, letter))
-}
-
 /// Replays and telemetry-off replays interleaved; returns the best
 /// (lowest) wall-clock seconds seen for (instrumented, disabled).
 fn time_overhead(
@@ -200,27 +151,24 @@ fn time_overhead(
     reports: &[TagReport],
     trials: u32,
     rounds: u32,
-) -> Result<(f64, f64), RfipadError> {
+) -> (f64, f64) {
     let restore = obs::max_level();
-    let timed = |level: obs::Level| -> Result<f64, RfipadError> {
+    let timed = |level: obs::Level| {
         obs::set_level(level);
         let start = Instant::now();
         for _ in 0..rounds {
-            std::hint::black_box(replay_online(recognizer, reports)?);
+            std::hint::black_box(recognizer.recognize_session(reports));
         }
-        Ok(start.elapsed().as_secs_f64())
+        start.elapsed().as_secs_f64()
     };
     let mut best_on = f64::INFINITY;
     let mut best_off = f64::INFINITY;
-    let result = (|| {
-        for _ in 0..trials {
-            best_on = best_on.min(timed(obs::Level::Info)?);
-            best_off = best_off.min(timed(obs::Level::Off)?);
-        }
-        Ok(())
-    })();
+    for _ in 0..trials {
+        best_on = best_on.min(timed(obs::Level::Info));
+        best_off = best_off.min(timed(obs::Level::Off));
+    }
     obs::set_level(restore);
-    result.map(|()| (best_on, best_off))
+    (best_on, best_off)
 }
 
 fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
@@ -231,9 +179,9 @@ fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
     // The instrumented replay populates the process-global registry:
     // stage histograms, pipeline counters, reader counters from the
     // trace decode above.
-    let (strokes, letter) = replay_online(&bench.recognizer, &reports)?;
-    obs::info!("replayed trace"; reports = reports.len(), strokes = strokes,
-        letter = format!("{letter:?}"));
+    let result = bench.recognizer.recognize_session(&reports);
+    obs::info!("replayed trace"; reports = reports.len(), strokes = result.strokes.len(),
+        letter = format!("{:?}", result.letter));
 
     let text = obs::registry().render_prometheus();
     obs::expo::validate(&text)
@@ -243,7 +191,7 @@ fn stats(path: &str, bench_overhead: bool) -> Result<(), RfipadError> {
     if bench_overhead {
         obs::info!("timing instrumented vs disabled-telemetry replays");
         let (rounds, trials) = (10u32, 3u32);
-        let (on_s, off_s) = time_overhead(&bench.recognizer, &reports, trials, rounds)?;
+        let (on_s, off_s) = time_overhead(&bench.recognizer, &reports, trials, rounds);
         let per_mode = u64::from(rounds) * reports.len() as u64;
         let on_rps = per_mode as f64 / on_s;
         let off_rps = per_mode as f64 / off_s;
@@ -282,7 +230,7 @@ fn checkpoint(path: &str) -> Result<(), RfipadError> {
     obs::info!("rebuilding golden bench");
     let bench = golden_bench();
     let pipeline = || {
-        OnlinePipeline::builder()
+        StageGraph::builder()
             .recognizer(bench.recognizer.clone())
             .letter_gap_s(1.5)
             .build()
@@ -305,7 +253,7 @@ fn checkpoint(path: &str) -> Result<(), RfipadError> {
     let wire = first.checkpoint().to_json();
     drop(first); // only the serialized snapshot crosses the "migration"
     let mut resumed = pipeline()?;
-    resumed.restore(&PipelineCheckpoint::from_json(&wire)?)?;
+    resumed.restore_checkpoint(&PipelineCheckpoint::from_json(&wire)?)?;
     for r in &reports[split..] {
         resumed.push_into(*r, &mut stitched);
     }

@@ -14,7 +14,7 @@ use rfid_gen2::source::{ReportSource, TraceSource};
 use rfid_gen2::wire::IngestClient;
 use rfipad::engine::{normalize_events, Backpressure, Engine};
 use rfipad::serve::{CollectingSink, EventSink, IngestServer};
-use rfipad::{OnlinePipeline, PipelineEvent, Recognizer};
+use rfipad::{PipelineEvent, Recognizer, StageGraph};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -107,8 +107,8 @@ pub fn golden_reports(bench: &crate::Bench) -> Vec<TagReport> {
 }
 
 /// The session pipeline every replay (serial, in-process, served) uses.
-pub fn session_pipeline(recognizer: &Recognizer) -> OnlinePipeline {
-    OnlinePipeline::builder()
+pub fn session_pipeline(recognizer: &Recognizer) -> StageGraph {
+    StageGraph::builder()
         .recognizer(recognizer.clone())
         .letter_gap_s(1.5)
         .build()

@@ -23,9 +23,11 @@ pub const CALIBRATION_SECS: f64 = 6.0;
 /// Idle margin recorded before and after each writing session.
 pub const SESSION_MARGIN_SECS: f64 = 1.2;
 
-/// Letter gap the trial replay graph uses. Longer than
-/// [`SESSION_MARGIN_SECS`], so a trial's letter never closes before the
-/// recording ends — the flush closes it, like the offline recognizer.
+/// Letter gap of the graph that scores a trial: the [`StageGraph`]
+/// default that [`Recognizer::recognize_session`] builds with. Longer
+/// than [`SESSION_MARGIN_SECS`], so a trial's letter never closes before
+/// the recording ends — the finish closes it, and the result's
+/// segmentation covers the whole session.
 pub const LETTER_GAP_SECS: f64 = 1.5;
 
 /// A calibrated test bench: deployment + reader + recognizer.
@@ -117,51 +119,13 @@ impl Bench {
         run.events
     }
 
-    /// Replays a recorded trial through the online stage graph and folds
-    /// the emitted events back into a batch-style [`SessionResult`], so
-    /// every figure is scored against the same code path a live deployment
-    /// runs. Trial recordings end within the letter gap of the last
-    /// stroke, so the letter closes at flush time and the final
-    /// segmentation covers the whole session — matching the offline
-    /// [`Recognizer::recognize_session`] result.
-    pub fn replay_session(&self, reports: &[TagReport]) -> SessionResult {
-        let mut graph = StageGraph::builder()
-            .recognizer(self.recognizer.clone())
-            .letter_gap_s(LETTER_GAP_SECS)
-            .build()
-            .expect("recognizer already validated");
-        let mut events = Vec::new();
-        for &report in reports {
-            graph.push_into(report, &mut events);
-        }
-        graph.finish_into(&mut events);
-        let mut strokes = Vec::new();
-        let mut letter = None;
-        for event in events {
-            match event {
-                PipelineEvent::StrokeDetected { stroke, .. } => strokes.push(stroke),
-                PipelineEvent::LetterRecognized { letter: l, .. } => letter = l,
-            }
-        }
-        let segmentation = graph.last_segmentation().cloned().unwrap_or(Segmentation {
-            spans: Vec::new(),
-            frames: Vec::new(),
-            threshold: 0.0,
-        });
-        SessionResult {
-            strokes,
-            letter,
-            segmentation,
-        }
-    }
-
     /// Runs one stroke trial end to end.
     pub fn run_stroke_trial(&self, stroke: Stroke, user: &UserProfile, seed: u64) -> StrokeTrial {
         let writer = Writer::new(self.deployment.pad, user.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let session = writer.write_motion(stroke, 1.0, &mut rng);
         let reports = self.record_session(&session, user, &mut rng);
-        let result = self.replay_session(&reports);
+        let result = self.recognizer.recognize_session(&reports);
         StrokeTrial {
             truth: stroke,
             session,
@@ -176,7 +140,7 @@ impl Bench {
         let mut rng = StdRng::seed_from_u64(seed);
         let session = writer.write_letter(letter, 1.0, &mut rng);
         let reports = self.record_session(&session, user, &mut rng);
-        let result = self.replay_session(&reports);
+        let result = self.recognizer.recognize_session(&reports);
         LetterTrial {
             truth: letter,
             session,

@@ -137,6 +137,9 @@ static JOURNAL: Mutex<VecDeque<JournalEntry>> = Mutex::new(VecDeque::new());
 /// which performs the level check first.
 pub fn emit(level: Level, target: &str, message: &str) {
     eprintln!("[{} {target}] {message}", level.tag());
+    let mut journal = JOURNAL.lock().expect("journal poisoned");
+    // Numbered under the lock, so the journal's order is the seq order
+    // even when threads emit concurrently.
     let seq = JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
     let entry = JournalEntry {
         seq,
@@ -144,7 +147,6 @@ pub fn emit(level: Level, target: &str, message: &str) {
         target: target.to_string(),
         message: message.to_string(),
     };
-    let mut journal = JOURNAL.lock().expect("journal poisoned");
     if journal.len() >= JOURNAL_CAPACITY {
         journal.pop_front();
     }

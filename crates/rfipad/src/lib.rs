@@ -22,9 +22,12 @@
 //! 5. **Direction** ([`direction`]): two-stage RSS-trough ordering.
 //! 6. **Letters** ([`grammar`], [`recognizer`]): tree-structure grammar
 //!    with positional disambiguation (D/P, O/S, V/X).
-//! 7. **Online engine** ([`pipeline`], [`stage`]): streaming recognition
-//!    as a typed five-stage graph with response-time accounting and
-//!    checkpoint/restore for session migration.
+//! 7. **Online recognizer** ([`stage`], [`pipeline`]): [`StageGraph`],
+//!    the one recognition path — streaming recognition as a typed
+//!    five-stage graph with response-time accounting and checkpoint/restore
+//!    for session migration. [`Recognizer::recognize_session`] folds a
+//!    whole recording through it; the [`engine`] and [`serve`] layers run
+//!    one graph per session.
 //! 8. **Multi-pad operation** ([`multipad`]): one reader serving several
 //!    pads while its ordinary identification traffic passes through — the
 //!    paper's cost-efficiency claim.
@@ -89,13 +92,18 @@ pub use engine::{
 pub use error::RfipadError;
 pub use layout::ArrayLayout;
 pub use multipad::{PadDispatcher, PadEvent, PadHandle};
-pub use pipeline::{OnlinePipeline, PipelineEvent};
+pub use pipeline::PipelineEvent;
 pub use recognizer::{RecognizedStroke, Recognizer, SessionResult};
 pub use segmentation::{Segmentation, StrokeSpan};
 pub use serve::{CollectingSink, EventSink, IngestServer, IngestServerBuilder};
 pub use stage::{PipelineCheckpoint, Stage, StageGraph, StageGraphBuilder, StageState};
 pub use streams::{TagStreams, TagStreamsBuilder};
 pub use words::{DecodedWord, WordDecoder};
+
+/// The former name of [`StageGraph`]. It exists only because the benchmark
+/// package under `perfbench/` still builds its graphs through
+/// `OnlinePipeline::builder()`; use [`StageGraph`] everywhere else.
+pub type OnlinePipeline = StageGraph;
 
 /// Convenient glob import for applications.
 pub mod prelude {
@@ -108,7 +116,7 @@ pub mod prelude {
     pub use crate::grammar::GrammarTree;
     pub use crate::layout::ArrayLayout;
     pub use crate::metrics::ConfusionMatrix;
-    pub use crate::pipeline::{OnlinePipeline, PipelineEvent};
+    pub use crate::pipeline::PipelineEvent;
     pub use crate::recognizer::{RecognizedStroke, Recognizer, SessionResult};
     pub use crate::segmentation::{Segmentation, StrokeSpan};
     pub use crate::stage::{PipelineCheckpoint, Stage, StageGraph};

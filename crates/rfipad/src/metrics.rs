@@ -226,7 +226,12 @@ pub(crate) fn unescape_json_string(quoted: &str) -> Result<String, String> {
             Some('r') => out.push('\r'),
             Some('t') => out.push('\t'),
             Some('u') => {
+                // Exactly four hex digits: `from_str_radix` alone would
+                // take a short `\u41` or a signed `\u+041`.
                 let hex: String = chars.by_ref().take(4).collect();
+                if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return Err(format!("bad \\u escape {hex:?}: need four hex digits"));
+                }
                 let code = u32::from_str_radix(&hex, 16)
                     .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
                 out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
@@ -441,6 +446,18 @@ mod tests {
             "{\"counts\":[{\"truth\":\"a\",\"predicted\":\"b\",\"count\":\"x\"}]}"
         )
         .is_err());
+        // A `\u` escape takes exactly four hex digits.
+        let with_truth = |t: &str| {
+            format!("{{\"counts\":[{{\"truth\":\"{t}\",\"predicted\":\"A\",\"count\":1}}]}}")
+        };
+        let parsed = ConfusionMatrix::from_json(&with_truth("\\u0041")).expect("valid escape");
+        assert_eq!(parsed.count("A", "A"), 1);
+        for bad in ["\\u41", "\\u+041"] {
+            assert!(
+                ConfusionMatrix::from_json(&with_truth(bad)).is_err(),
+                "{bad} accepted"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The online recognition engine (§V-D).
+//! Events and report-admission policy of the online recognizer (§V-D).
 //!
 //! RFIPad reacts to hand motions as they happen: tag reports stream in, and
 //! as soon as a stroke's end is confirmed by a short silence the stroke is
@@ -7,19 +7,12 @@
 //! between a motion ending and its report — is tracked per event, matching
 //! the paper's Fig. 24 evaluation.
 //!
-//! [`OnlinePipeline`] is a thin facade over [`crate::stage::StageGraph`],
-//! the typed five-stage cascade (framing → segmentation → motion → letter
-//! → grammar); every push and flush delegates to the graph. Callers that
-//! want per-stage access, custom composition, or checkpoint/restore for
-//! session migration can drive the graph directly.
-//!
-//! [`spawn`] runs the engine on its own thread over crossbeam channels, the
-//! deployment shape of a real kiosk.
+//! [`crate::stage::StageGraph`] is the recognizer: the typed five-stage
+//! cascade (framing → segmentation → motion → letter → grammar). This
+//! module holds what it emits, [`PipelineEvent`], and how it admits stale
+//! reports, [`OutOfOrderPolicy`].
 
-use crate::error::RfipadError;
-use crate::recognizer::{RecognizedStroke, Recognizer};
-use crate::stage::{PipelineCheckpoint, StageGraph};
-use rfid_gen2::report::TagReport;
+use crate::recognizer::RecognizedStroke;
 use serde::{Deserialize, Serialize};
 
 /// An event emitted by the online pipeline.
@@ -48,7 +41,7 @@ pub enum PipelineEvent {
     },
 }
 
-/// What [`OnlinePipeline::push`] does with a report whose timestamp is
+/// What [`crate::StageGraph::push`] does with a report whose timestamp is
 /// older than one already consumed. A single reader stream is in time
 /// order, but merging several antennas or sources can interleave slightly
 /// stale reports.
@@ -64,229 +57,15 @@ pub enum OutOfOrderPolicy {
     Drop,
 }
 
-/// Validating builder for [`OnlinePipeline`], the supported way to
-/// construct one.
-///
-/// ```no_run
-/// # fn demo(recognizer: rfipad::Recognizer) -> Result<(), rfipad::RfipadError> {
-/// let pipeline = rfipad::OnlinePipeline::builder()
-///     .recognizer(recognizer)
-///     .letter_gap_s(1.5)
-///     .build()?;
-/// # let _ = pipeline; Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-#[must_use = "call .build() to obtain the pipeline"]
-pub struct OnlinePipelineBuilder {
-    recognizer: Option<Recognizer>,
-    letter_gap_s: Option<f64>,
-    out_of_order: OutOfOrderPolicy,
-}
-
-impl OnlinePipelineBuilder {
-    /// The recognizer the pipeline wraps (required).
-    pub fn recognizer(mut self, recognizer: Recognizer) -> Self {
-        self.recognizer = Some(recognizer);
-        self
-    }
-
-    /// Idle time that closes a letter, simulated seconds (default 1.5 s,
-    /// comfortable for the default writer profiles).
-    pub fn letter_gap_s(mut self, letter_gap_s: f64) -> Self {
-        self.letter_gap_s = Some(letter_gap_s);
-        self
-    }
-
-    /// Policy for reports whose timestamps run backwards (default
-    /// [`OutOfOrderPolicy::Clamp`]).
-    pub fn out_of_order(mut self, policy: OutOfOrderPolicy) -> Self {
-        self.out_of_order = policy;
-        self
-    }
-
-    /// Validates the configuration and builds the pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::InvalidConfig`] naming the offending field
-    /// (`OnlinePipelineBuilder.recognizer: required but not set`, or
-    /// `OnlinePipelineBuilder.letter_gap_s: must be positive and finite`).
-    pub fn build(self) -> Result<OnlinePipeline, RfipadError> {
-        let recognizer = self.recognizer.ok_or_else(|| {
-            RfipadError::invalid_field(
-                "OnlinePipelineBuilder",
-                "recognizer",
-                "required but not set",
-            )
-        })?;
-        let mut builder = StageGraph::builder()
-            .out_of_order(self.out_of_order)
-            .recognizer(recognizer);
-        if let Some(letter_gap_s) = self.letter_gap_s {
-            if !(letter_gap_s > 0.0 && letter_gap_s.is_finite()) {
-                return Err(RfipadError::invalid_field(
-                    "OnlinePipelineBuilder",
-                    "letter_gap_s",
-                    format!("must be positive and finite, got {letter_gap_s}"),
-                ));
-            }
-            builder = builder.letter_gap_s(letter_gap_s);
-        }
-        Ok(OnlinePipeline {
-            graph: builder.build()?,
-        })
-    }
-}
-
-/// Streaming recognition engine: a facade over the typed
-/// [`StageGraph`]. All state lives in the graph's stages; this type only
-/// preserves the original push/finish API shape.
-#[derive(Debug)]
-pub struct OnlinePipeline {
-    graph: StageGraph,
-}
-
-impl OnlinePipeline {
-    /// Starts a validating builder ([`OnlinePipelineBuilder`]).
-    pub fn builder() -> OnlinePipelineBuilder {
-        OnlinePipelineBuilder::default()
-    }
-
-    /// The wrapped recognizer.
-    pub fn recognizer(&self) -> &Recognizer {
-        self.graph.recognizer()
-    }
-
-    /// The idle gap (simulated seconds) that closes a letter.
-    pub fn letter_gap_s(&self) -> f64 {
-        self.graph.letter_gap_s()
-    }
-
-    /// How many reports arrived with a timestamp older than an already
-    /// consumed one (and were clamped or dropped per the configured
-    /// [`OutOfOrderPolicy`]).
-    pub fn out_of_order_count(&self) -> u64 {
-        self.graph.out_of_order_count()
-    }
-
-    /// The underlying stage graph.
-    pub fn graph(&self) -> &StageGraph {
-        &self.graph
-    }
-
-    /// The underlying stage graph, mutable.
-    pub fn graph_mut(&mut self) -> &mut StageGraph {
-        &mut self.graph
-    }
-
-    /// Unwraps the facade, returning the stage graph (how the ingest
-    /// engine adopts a pipeline built by a caller).
-    pub fn into_graph(self) -> StageGraph {
-        self.graph
-    }
-
-    /// Feeds one tag report; returns any events it triggered.
-    ///
-    /// Reports are expected in time order (a single reader stream is);
-    /// stale timestamps from multi-antenna or multi-source merges are
-    /// clamped or dropped per the configured [`OutOfOrderPolicy`] and
-    /// counted in [`OnlinePipeline::out_of_order_count`]. Feeding after
-    /// [`OnlinePipeline::finish`] resumes the stream.
-    pub fn push(&mut self, obs: TagReport) -> Vec<PipelineEvent> {
-        self.graph.push(obs)
-    }
-
-    /// Like [`push`](Self::push), but appends any triggered events to
-    /// `events` instead of allocating a fresh vector — the hot-path entry
-    /// point for callers that reuse one event buffer across reports.
-    pub fn push_into(&mut self, obs: TagReport, events: &mut Vec<PipelineEvent>) {
-        self.graph.push_into(obs, events);
-    }
-
-    /// Feeds a batch of reports in order, appending any triggered events to
-    /// `events`. Equivalent to pushing each report individually; one event
-    /// buffer serves the whole batch.
-    pub fn push_batch(
-        &mut self,
-        reports: impl IntoIterator<Item = TagReport>,
-        events: &mut Vec<PipelineEvent>,
-    ) {
-        self.graph.push_batch(reports, events);
-    }
-
-    /// Flushes the engine at end of input (closes any pending stroke or
-    /// letter regardless of gaps).
-    ///
-    /// Idempotent: a second `finish` without an intervening
-    /// [`OnlinePipeline::push`] returns no events, so drain-then-close
-    /// sequences (and engine eviction racing an explicit close) cannot
-    /// duplicate reports.
-    pub fn finish(&mut self) -> Vec<PipelineEvent> {
-        self.graph.finish()
-    }
-
-    /// Like [`finish`](Self::finish), but appends any events to `events`.
-    pub fn finish_into(&mut self, events: &mut Vec<PipelineEvent>) {
-        self.graph.finish_into(events);
-    }
-
-    /// Captures the pipeline's full mutable state for session migration
-    /// (see [`StageGraph::checkpoint`]).
-    pub fn checkpoint(&self) -> PipelineCheckpoint {
-        self.graph.checkpoint()
-    }
-
-    /// Restores a [`checkpoint`](Self::checkpoint) into this pipeline,
-    /// replacing its state (see [`StageGraph::restore_checkpoint`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfipadError::Checkpoint`] if the checkpoint is from a
-    /// different configuration or fails its integrity checks.
-    pub fn restore(&mut self, checkpoint: &PipelineCheckpoint) -> Result<(), RfipadError> {
-        self.graph.restore_checkpoint(checkpoint)
-    }
-}
-
-/// Runs an [`OnlinePipeline`] on its own thread: observations in on one
-/// channel, [`PipelineEvent`]s out on another. The thread exits when the
-/// input channel closes, flushing pending state first.
-pub fn spawn(
-    mut pipeline: OnlinePipeline,
-    input: crossbeam::channel::Receiver<TagReport>,
-) -> (
-    std::thread::JoinHandle<()>,
-    crossbeam::channel::Receiver<PipelineEvent>,
-) {
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let handle = std::thread::spawn(move || {
-        let mut events = Vec::new();
-        for obs in input.iter() {
-            pipeline.push_into(obs, &mut events);
-            for event in events.drain(..) {
-                if tx.send(event).is_err() {
-                    return;
-                }
-            }
-        }
-        pipeline.finish_into(&mut events);
-        for event in events.drain(..) {
-            if tx.send(event).is_err() {
-                return;
-            }
-        }
-    });
-    (handle, rx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calibration::Calibration;
     use crate::config::RfipadConfig;
     use crate::layout::ArrayLayout;
-    use rfid_gen2::report::TagId;
+    use crate::recognizer::Recognizer;
+    use crate::stage::{Stage, StageGraph};
+    use rfid_gen2::report::{TagId, TagReport};
     use std::f64::consts::TAU;
 
     fn layout() -> ArrayLayout {
@@ -331,7 +110,7 @@ mod tests {
         out
     }
 
-    fn pipeline() -> OnlinePipeline {
+    fn pipeline() -> StageGraph {
         let l = layout();
         let static_part: Vec<TagReport> =
             recording().into_iter().filter(|o| o.time < 2.0).collect();
@@ -343,7 +122,7 @@ mod tests {
             .config(config)
             .build()
             .unwrap();
-        OnlinePipeline::builder()
+        StageGraph::builder()
             .recognizer(rec)
             .letter_gap_s(1.5)
             .build()
@@ -435,7 +214,7 @@ mod tests {
     fn rejects_nonpositive_letter_gap() {
         let p = pipeline();
         let rec = p.recognizer().clone();
-        assert!(OnlinePipeline::builder()
+        assert!(StageGraph::builder()
             .recognizer(rec)
             .letter_gap_s(0.0)
             .build()
@@ -444,9 +223,9 @@ mod tests {
 
     #[test]
     fn builder_requires_recognizer_and_defaults_gap() {
-        assert!(OnlinePipeline::builder().build().is_err());
+        assert!(StageGraph::builder().build().is_err());
         let p = pipeline();
-        let built = OnlinePipeline::builder()
+        let built = StageGraph::builder()
             .recognizer(p.recognizer().clone())
             .build()
             .expect("defaults valid");
@@ -548,25 +327,26 @@ mod tests {
     }
 
     #[test]
-    fn facade_and_raw_graph_agree() {
-        // The facade must be a pure delegation layer: driving the graph
-        // directly produces identical recognized content.
-        let mut facade = pipeline();
-        let mut facade_events = Vec::new();
+    fn stage_trait_and_direct_calls_agree() {
+        // The graph's `Stage` impl must be a pure delegation layer:
+        // driving it through the trait produces identical recognized
+        // content.
+        let mut via_trait = pipeline();
+        let mut trait_events = Vec::new();
         for o in recording() {
-            facade.push_into(o, &mut facade_events);
+            Stage::push(&mut via_trait, o, &mut trait_events);
         }
-        facade.finish_into(&mut facade_events);
+        Stage::flush(&mut via_trait, &mut trait_events);
 
-        let mut graph = pipeline().into_graph();
+        let mut graph = pipeline();
         let mut graph_events = Vec::new();
         for o in recording() {
             graph.push_into(o, &mut graph_events);
         }
         graph.finish_into(&mut graph_events);
 
-        assert_eq!(facade_events.len(), graph_events.len());
-        for (a, b) in facade_events.iter().zip(&graph_events) {
+        assert_eq!(trait_events.len(), graph_events.len());
+        for (a, b) in trait_events.iter().zip(&graph_events) {
             match (a, b) {
                 (
                     PipelineEvent::StrokeDetected { stroke: sa, .. },
@@ -613,7 +393,9 @@ mod tests {
             }
             let checkpoint = prefix.checkpoint();
             let mut resumed = pipeline();
-            resumed.restore(&checkpoint).expect("checkpoint restores");
+            resumed
+                .restore_checkpoint(&checkpoint)
+                .expect("checkpoint restores");
             for o in &all[split..] {
                 resumed.push_into(*o, &mut split_events);
             }
@@ -659,21 +441,15 @@ mod tests {
             {
                 // The letter close trims the buffer and must drop the
                 // cache with it, in the same tick.
-                assert!(
-                    !p.graph.cache_is_some(),
-                    "letter-close trim left a stale cache"
-                );
+                assert!(!p.cache_is_some(), "letter-close trim left a stale cache");
                 letter_seen = true;
             }
         }
         assert!(letter_seen, "recording closes a letter mid-feed");
         // Later ticks rebuild the cache from the trimmed buffer and then
         // maintain it incrementally; it must match a rebuild exactly.
-        assert!(
-            p.graph.cache_is_some(),
-            "cache not rebuilt after the letter"
-        );
-        p.graph.assert_cache_matches_rebuild();
+        assert!(p.cache_is_some(), "cache not rebuilt after the letter");
+        p.assert_cache_matches_rebuild();
         // finish-then-resume: the flush and the resumed traffic keep the
         // cache in step with the buffer.
         p.finish();
@@ -681,13 +457,13 @@ mod tests {
             o.time += 8.0;
             p.push(o);
         }
-        p.graph.assert_cache_matches_rebuild();
+        p.assert_cache_matches_rebuild();
     }
 
     #[test]
     fn cache_consistent_under_out_of_order_clamp() {
         let p = pipeline();
-        let mut clamping = OnlinePipeline::builder()
+        let mut clamping = StageGraph::builder()
             .recognizer(p.recognizer().clone())
             .letter_gap_s(1.5)
             .out_of_order(OutOfOrderPolicy::Clamp)
@@ -700,13 +476,13 @@ mod tests {
             clamping.push(o);
         }
         assert!(clamping.out_of_order_count() > 0, "stale reports seen");
-        clamping.graph.assert_cache_matches_rebuild();
+        clamping.assert_cache_matches_rebuild();
     }
 
     #[test]
     fn cache_consistent_under_out_of_order_drop() {
         let p = pipeline();
-        let mut dropping = OnlinePipeline::builder()
+        let mut dropping = StageGraph::builder()
             .recognizer(p.recognizer().clone())
             .letter_gap_s(1.5)
             .out_of_order(OutOfOrderPolicy::Drop)
@@ -719,13 +495,13 @@ mod tests {
             dropping.push(o);
         }
         assert!(dropping.out_of_order_count() > 0, "stale reports seen");
-        dropping.graph.assert_cache_matches_rebuild();
+        dropping.assert_cache_matches_rebuild();
     }
 
     #[test]
     fn out_of_order_clamped_and_counted() {
         let p = pipeline();
-        let mut clamping = OnlinePipeline::builder()
+        let mut clamping = StageGraph::builder()
             .recognizer(p.recognizer().clone())
             .letter_gap_s(1.5)
             .out_of_order(OutOfOrderPolicy::Clamp)
@@ -742,11 +518,7 @@ mod tests {
         events.extend(clamping.finish());
         assert!(clamping.out_of_order_count() > 0, "stale reports seen");
         // Clamped timestamps never run backwards inside the buffer.
-        assert!(clamping
-            .graph
-            .buffer()
-            .windows(2)
-            .all(|w| w[0].time <= w[1].time));
+        assert!(clamping.buffer().windows(2).all(|w| w[0].time <= w[1].time));
         // The sweep still resolves to the same letter.
         assert!(events.iter().any(|e| matches!(
             e,
@@ -760,7 +532,7 @@ mod tests {
     #[test]
     fn out_of_order_drop_discards_stale_reports() {
         let p = pipeline();
-        let mut dropping = OnlinePipeline::builder()
+        let mut dropping = StageGraph::builder()
             .recognizer(p.recognizer().clone())
             .letter_gap_s(1.5)
             .out_of_order(OutOfOrderPolicy::Drop)
@@ -776,28 +548,26 @@ mod tests {
         }
         assert!(dropping.out_of_order_count() > 0);
         assert!(
-            (dropping.graph.buffer().len() as u64) <= n as u64 - dropping.out_of_order_count()
-                || dropping.graph.buffer().len() < n,
+            (dropping.buffer().len() as u64) <= n as u64 - dropping.out_of_order_count()
+                || dropping.buffer().len() < n,
             "dropped reports must not enter the buffer"
         );
-        assert!(dropping
-            .graph
-            .buffer()
-            .windows(2)
-            .all(|w| w[0].time <= w[1].time));
+        assert!(dropping.buffer().windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     #[test]
-    fn threaded_spawn_round_trip() {
-        let p = pipeline();
-        let (obs_tx, obs_rx) = crossbeam::channel::unbounded();
-        let (handle, events) = spawn(p, obs_rx);
+    fn threaded_session_round_trip() {
+        // The deployment shape of a kiosk: the graph runs on an engine
+        // worker thread, reports in through the session handle.
+        let engine = crate::engine::Engine::builder()
+            .workers(1)
+            .build()
+            .expect("engine");
+        let session = engine.open_session("pad", pipeline()).expect("open");
         for o in recording() {
-            obs_tx.send(o).expect("pipeline alive");
+            session.ingest(o).expect("pipeline alive");
         }
-        drop(obs_tx);
-        let collected: Vec<PipelineEvent> = events.iter().collect();
-        handle.join().expect("no panic");
+        let collected: Vec<PipelineEvent> = session.close().expect("no panic");
         assert!(collected.iter().any(|e| matches!(
             e,
             PipelineEvent::LetterRecognized {
@@ -814,14 +584,15 @@ mod buffer_tests {
     use crate::calibration::Calibration;
     use crate::config::RfipadConfig;
     use crate::layout::ArrayLayout;
-    use crate::stage::MAX_BUFFER_S;
-    use rfid_gen2::report::TagId;
+    use crate::recognizer::Recognizer;
+    use crate::stage::{StageGraph, MAX_BUFFER_S};
+    use rfid_gen2::report::{TagId, TagReport};
 
     fn quiet_obs(tag: u64, time: f64) -> TagReport {
         TagReport::synthetic(TagId(tag), time, 1.0 + tag as f64, -45.0)
     }
 
-    fn quiet_pipeline(letter_gap_s: f64) -> OnlinePipeline {
+    fn quiet_pipeline(letter_gap_s: f64) -> StageGraph {
         let layout = ArrayLayout::new(1, 3, (0..3).map(TagId).collect());
         let static_obs: Vec<TagReport> = (0..40)
             .flat_map(|j| (0..3).map(move |i| quiet_obs(i, j as f64 * 0.05 + i as f64 * 0.01)))
@@ -834,7 +605,7 @@ mod buffer_tests {
             .config(config)
             .build()
             .unwrap();
-        OnlinePipeline::builder()
+        StageGraph::builder()
             .recognizer(rec)
             .letter_gap_s(letter_gap_s)
             .build()
@@ -872,14 +643,14 @@ mod buffer_tests {
         for step in 0..7_200u64 {
             let t = step as f64 / 60.0;
             pipeline.push(quiet_obs(step % 3, t));
-            max_len = max_len.max(pipeline.graph().buffer().len());
+            max_len = max_len.max(pipeline.buffer().len());
         }
         // 30 s of history at 60 reads/s is 1800 reads; allow slack for the
         // trim hysteresis.
         assert!(
-            pipeline.graph().buffer().len() < 2_400,
+            pipeline.buffer().len() < 2_400,
             "buffer grew to {}",
-            pipeline.graph().buffer().len()
+            pipeline.buffer().len()
         );
         assert!(max_len < 2_800, "peak buffer {}", max_len);
     }
@@ -893,12 +664,7 @@ mod buffer_tests {
             last_t = step as f64 / 60.0;
             pipeline.push(quiet_obs(step % 3, last_t));
         }
-        let first = pipeline
-            .graph()
-            .buffer()
-            .first()
-            .expect("buffer non-empty")
-            .time;
+        let first = pipeline.buffer().first().expect("buffer non-empty").time;
         assert!(first > 2.0, "old history survived: first read at {first}");
         // Nothing older than the window plus the trim hysteresis remains.
         assert!(
@@ -912,29 +678,21 @@ mod buffer_tests {
         // A letter gap far longer than the run keeps the stroke pending
         // throughout; its history must survive even past MAX_BUFFER_S.
         let mut pipeline = quiet_pipeline(1_000.0);
-        pipeline
-            .graph_mut()
-            .pending_strokes_mut()
-            .push(fake_stroke(2.0, 3.0));
+        pipeline.pending_strokes_mut().push(fake_stroke(2.0, 3.0));
         let mut last_t = 0.0;
         for step in 0..2_400u64 {
             last_t = step as f64 / 60.0;
             pipeline.push(quiet_obs(step % 3, last_t));
         }
         assert!(last_t > MAX_BUFFER_S + 5.0, "run long enough to trim");
-        let first = pipeline
-            .graph()
-            .buffer()
-            .first()
-            .expect("buffer non-empty")
-            .time;
+        let first = pipeline.buffer().first().expect("buffer non-empty").time;
         // Retention is anchored 1 s before the pending stroke, not at the
         // rolling window edge.
         assert!(
             first <= 2.0,
             "pending letter history trimmed: first {first}"
         );
-        assert!(!pipeline.graph_mut().pending_strokes_mut().is_empty());
+        assert!(!pipeline.pending_strokes_mut().is_empty());
     }
 
     #[test]
@@ -943,19 +701,19 @@ mod buffer_tests {
         let mut trims = 0usize;
         for step in 0..3_600u64 {
             let t = step as f64 / 60.0;
-            let before = pipeline.graph().buffer().len();
+            let before = pipeline.buffer().len();
             pipeline.push(quiet_obs(step % 3, t));
-            if pipeline.graph().buffer().len() <= before {
+            if pipeline.buffer().len() <= before {
                 trims += 1;
             }
             // Spot-check: the incrementally maintained cache never drifts
             // from a rebuild over the (possibly trimmed) buffer.
             if step % 600 == 599 {
-                pipeline.graph_mut().assert_cache_matches_rebuild();
+                pipeline.assert_cache_matches_rebuild();
             }
         }
         assert!(trims > 0, "run long enough to trim history");
-        pipeline.graph_mut().assert_cache_matches_rebuild();
+        pipeline.assert_cache_matches_rebuild();
     }
 
     #[test]
@@ -963,15 +721,15 @@ mod buffer_tests {
         let mut pipeline = quiet_pipeline(1.5);
         // Out-of-sorted-order marks must land sorted (the dedup relies on
         // partition_point).
-        pipeline.graph_mut().mark_reported(2.5);
-        pipeline.graph_mut().mark_reported(1.0);
-        pipeline.graph_mut().mark_reported(4.0);
-        pipeline.graph_mut().mark_reported(1.7);
-        assert_eq!(pipeline.graph().reported_spans(), vec![1.0, 1.7, 2.5, 4.0]);
-        assert!(pipeline.graph().span_already_reported(1.2));
-        assert!(pipeline.graph().span_already_reported(2.6));
-        assert!(!pipeline.graph().span_already_reported(3.2));
-        assert!(!pipeline.graph().span_already_reported(0.5));
+        pipeline.mark_reported(2.5);
+        pipeline.mark_reported(1.0);
+        pipeline.mark_reported(4.0);
+        pipeline.mark_reported(1.7);
+        assert_eq!(pipeline.reported_spans(), vec![1.0, 1.7, 2.5, 4.0]);
+        assert!(pipeline.span_already_reported(1.2));
+        assert!(pipeline.span_already_reported(2.6));
+        assert!(!pipeline.span_already_reported(3.2));
+        assert!(!pipeline.span_already_reported(0.5));
     }
 
     #[test]
@@ -979,8 +737,8 @@ mod buffer_tests {
         let mut pipeline = quiet_pipeline(1.5);
         // Simulate spans reported early in a run whose letter never closed
         // (e.g. unclassifiable blips): their dedup entries must not leak.
-        pipeline.graph_mut().reported_spans_mut().push(1.0);
-        pipeline.graph_mut().reported_spans_mut().push(2.5);
+        pipeline.reported_spans_mut().push(1.0);
+        pipeline.reported_spans_mut().push(2.5);
         let mut last_t = 0.0;
         for step in 0..3_600u64 {
             last_t = step as f64 / 60.0;
@@ -988,12 +746,11 @@ mod buffer_tests {
         }
         assert!(
             pipeline
-                .graph()
                 .reported_spans()
                 .iter()
                 .all(|&s| s >= last_t - MAX_BUFFER_S - 5.0),
             "stale reported spans retained: {:?}",
-            pipeline.graph().reported_spans()
+            pipeline.reported_spans()
         );
     }
 }

@@ -1,4 +1,7 @@
-//! The complete offline recognizer: report stream → strokes → letter.
+//! The recognizer: calibrated streams, segmentation, per-span motion and
+//! direction recognition, and the letter grammar — the parts the online
+//! [`StageGraph`] composes. [`Recognizer::recognize_session`] runs a whole
+//! recording through that graph.
 
 use crate::accumulate::accumulative_image;
 use crate::calibration::Calibration;
@@ -8,7 +11,9 @@ use crate::error::RfipadError;
 use crate::grammar::{GrammarTree, ObservedStroke};
 use crate::layout::ArrayLayout;
 use crate::motion::{MotionRecognizer, RecognizedMotion};
+use crate::pipeline::PipelineEvent;
 use crate::segmentation::{Segmentation, Segmenter, StrokeSpan};
+use crate::stage::StageGraph;
 use crate::streams::TagStreams;
 use hand_kinematics::stroke::Stroke;
 use rfid_gen2::report::TagReport;
@@ -40,14 +45,22 @@ impl RecognizedStroke {
     }
 }
 
-/// Result of recognizing one session.
+/// Result of recognizing one session with
+/// [`Recognizer::recognize_session`], folded from the events of a
+/// [`StageGraph`] run over the whole recording and then finished.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionResult {
-    /// Recognized strokes in time order.
+    /// Every stroke the graph reported, in report order.
     pub strokes: Vec<RecognizedStroke>,
-    /// The deduced letter, if the stroke sequence matches the grammar.
+    /// The last letter the graph closed (`None` if no letter closed, or
+    /// if the last one matched no grammar entry). A recording that ends
+    /// within the letter gap of its last stroke closes exactly one letter,
+    /// at the finish.
     pub letter: Option<char>,
-    /// Raw segmentation (spans + frame scores).
+    /// The graph's last segmentation
+    /// ([`StageGraph::last_segmentation`]): spans and frame scores over
+    /// the history still buffered at the finish, empty if no frame tick
+    /// ran.
     pub segmentation: Segmentation,
 }
 
@@ -322,7 +335,9 @@ impl Recognizer {
         path
     }
 
-    /// Segments already-built streams (exposed for the online pipeline).
+    /// Segments whole already-built streams in one batch pass — for
+    /// offline analysis of a recording; the online graph segments its
+    /// incrementally maintained frames instead.
     pub fn segment(&self, streams: &TagStreams) -> Segmentation {
         self.segmenter
             .segment(&self.layout, streams, &self.calibration)
@@ -330,8 +345,7 @@ impl Recognizer {
 
     /// Segments an already-built frame sequence with the calibrated
     /// thresholds. Given the frames [`segment`](Self::segment) would build
-    /// internally, the result is identical; the online pipeline uses this
-    /// with incrementally maintained frames.
+    /// internally, the result is identical.
     pub fn segment_frames(&self, frames: &sigproc::frames::FrameSeq) -> Segmentation {
         self.segmenter.segment_frames(
             frames,
@@ -363,27 +377,31 @@ impl Recognizer {
         self.calibration.noise_floors(&self.layout, &self.config)
     }
 
-    /// Runs the full pipeline on a recording: segmentation, per-span motion
-    /// and direction recognition, then grammar-based letter deduction.
+    /// Recognizes a whole recording by folding it through the online
+    /// recognizer: builds a [`StageGraph`] with the default letter gap,
+    /// pushes every report, finishes, and collects the result as described
+    /// on [`SessionResult`]. Offline analysis and live traffic therefore
+    /// share one code path.
     pub fn recognize_session(&self, observations: &[TagReport]) -> SessionResult {
-        let streams = self.streams(observations);
-        let segmentation = self
-            .segmenter
-            .segment(&self.layout, &streams, &self.calibration);
-        let strokes: Vec<RecognizedStroke> = segmentation
-            .spans
-            .iter()
-            .filter_map(|&span| self.recognize_span(&streams, span))
-            .collect();
-        let observed: Vec<ObservedStroke> = strokes
-            .iter()
-            .map(|s| s.to_observed(&self.layout))
-            .collect();
-        let letter = self.grammar.deduce_fuzzy(&observed);
+        let mut graph = StageGraph::builder()
+            .recognizer(self.clone())
+            .build()
+            .expect("a built recognizer always builds a graph");
+        let mut events = Vec::new();
+        graph.push_batch(observations.iter().copied(), &mut events);
+        graph.finish_into(&mut events);
+        let mut strokes = Vec::new();
+        let mut letter = None;
+        for event in events {
+            match event {
+                PipelineEvent::StrokeDetected { stroke, .. } => strokes.push(stroke),
+                PipelineEvent::LetterRecognized { letter: l, .. } => letter = l,
+            }
+        }
         SessionResult {
             strokes,
             letter,
-            segmentation,
+            segmentation: graph.last_segmentation().cloned().unwrap_or_default(),
         }
     }
 

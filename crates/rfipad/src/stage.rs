@@ -1,4 +1,4 @@
-//! The typed stage graph behind [`crate::OnlinePipeline`].
+//! The typed stage graph: RFIPad's one recognition path.
 //!
 //! The paper's online cascade (§V-D) has five distinct steps — buffering
 //! and incremental framing, RMS segmentation, motion classification,
@@ -19,9 +19,10 @@
 //!   same remaining events, bit for bit, as the uninterrupted run —
 //!   the property [`crate::engine::Engine::restore_session`] uses to
 //!   migrate evicted sessions between processes.
-//! * **Direct drive.** Batch-oriented callers (the engine workers,
-//!   `multipad`, the experiment trials) consume the graph directly
-//!   instead of private framing/segmentation glue.
+//! * **One path.** Every caller drives the same graph: the engine
+//!   workers and the network server (one graph per session), `multipad`,
+//!   and [`Recognizer::recognize_session`], which folds a whole recording
+//!   through a graph and so scores the experiment trials.
 //!
 //! Floats in checkpoints are persisted as IEEE-754 bit patterns
 //! (`f64::to_bits`), never decimal, so a snapshot/restore round trip is
@@ -892,7 +893,18 @@ impl Stage for Grammar {
     }
 }
 
-/// Validating builder for [`StageGraph`].
+/// Validating builder for [`StageGraph`], the supported way to construct
+/// one.
+///
+/// ```no_run
+/// # fn demo(recognizer: rfipad::Recognizer) -> Result<(), rfipad::RfipadError> {
+/// let graph = rfipad::StageGraph::builder()
+///     .recognizer(recognizer)
+///     .letter_gap_s(1.5)
+///     .build()?;
+/// # let _ = graph; Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Default)]
 #[must_use = "call .build() to obtain the graph"]
 pub struct StageGraphBuilder {
@@ -940,28 +952,11 @@ impl StageGraphBuilder {
                 format!("must be positive and finite, got {letter_gap_s}"),
             ));
         }
-        let end_guard_s =
-            recognizer.config().frame_len_s * recognizer.config().window_frames as f64;
-        let recognizer = Arc::new(recognizer);
-        Ok(StageGraph {
-            framing: Framing::new(Arc::clone(&recognizer), letter_gap_s, end_guard_s),
-            segmentation: Segmentation::new(Arc::clone(&recognizer), end_guard_s),
-            motion: Motion::new(Arc::clone(&recognizer)),
-            letter: LetterRecognition::new(letter_gap_s),
-            grammar: Grammar::new(Arc::clone(&recognizer), end_guard_s),
-            recognizer,
+        Ok(StageGraph::assemble(
+            Arc::new(recognizer),
             letter_gap_s,
-            end_guard_s,
-            out_of_order: self.out_of_order,
-            last_time: f64::NEG_INFINITY,
-            out_of_order_count: 0,
-            finished: false,
-            ticks: Vec::new(),
-            spans: Vec::new(),
-            strokes: Vec::new(),
-            letters: Vec::new(),
-            trace: None,
-        })
+            self.out_of_order,
+        ))
     }
 }
 
@@ -970,8 +965,8 @@ impl StageGraphBuilder {
 /// Owns report admission (the out-of-order policy), drives each stage
 /// under its `rfipad_stage_push_seconds{stage=...}` histogram, and
 /// routes the letter-close feedback (history trim + dedup reset) back
-/// upstream. [`crate::OnlinePipeline`] is a thin facade over this type;
-/// the engine, `multipad`, and the experiment trials drive it directly.
+/// upstream. The engine, the network server, `multipad`, and
+/// [`Recognizer::recognize_session`] all drive this type.
 #[derive(Debug)]
 pub struct StageGraph {
     recognizer: Arc<Recognizer>,
@@ -1018,6 +1013,35 @@ impl StageGraph {
     /// Starts a validating builder ([`StageGraphBuilder`]).
     pub fn builder() -> StageGraphBuilder {
         StageGraphBuilder::default()
+    }
+
+    /// Wires fresh stages around a validated configuration.
+    fn assemble(
+        recognizer: Arc<Recognizer>,
+        letter_gap_s: f64,
+        out_of_order: OutOfOrderPolicy,
+    ) -> Self {
+        let end_guard_s =
+            recognizer.config().frame_len_s * recognizer.config().window_frames as f64;
+        StageGraph {
+            framing: Framing::new(Arc::clone(&recognizer), letter_gap_s, end_guard_s),
+            segmentation: Segmentation::new(Arc::clone(&recognizer), end_guard_s),
+            motion: Motion::new(Arc::clone(&recognizer)),
+            letter: LetterRecognition::new(letter_gap_s),
+            grammar: Grammar::new(Arc::clone(&recognizer), end_guard_s),
+            recognizer,
+            letter_gap_s,
+            end_guard_s,
+            out_of_order,
+            last_time: f64::NEG_INFINITY,
+            out_of_order_count: 0,
+            finished: false,
+            ticks: Vec::new(),
+            spans: Vec::new(),
+            strokes: Vec::new(),
+            letters: Vec::new(),
+            trace: None,
+        }
     }
 
     /// The recognizer shared by the stages.
@@ -1270,12 +1294,16 @@ impl StageGraph {
     /// replacing its state. The graph then produces the same remaining
     /// events, bit for bit, as the graph the checkpoint was taken from.
     ///
+    /// All or nothing: the checkpoint is restored into freshly built
+    /// stages, which replace this graph's only once all five restored.
+    /// On error the graph is unchanged. The trace binding is kept.
+    ///
     /// # Errors
     ///
     /// Returns [`RfipadError::Checkpoint`] if the checkpoint was taken
     /// under a different configuration (letter gap or end guard), names
-    /// an unknown stage, misses one of the five stages, or fails a
-    /// stage's integrity checks.
+    /// an unknown or duplicate stage, misses one of the five stages, or
+    /// fails a stage's integrity checks.
     pub fn restore_checkpoint(
         &mut self,
         checkpoint: &PipelineCheckpoint,
@@ -1287,50 +1315,39 @@ impl StageGraph {
                 "checkpoint was taken under a different pipeline configuration",
             ));
         }
+        let mut fresh = Self::assemble(
+            Arc::clone(&self.recognizer),
+            self.letter_gap_s,
+            checkpoint.policy,
+        );
         let mut seen = [false; 5];
         for state in &checkpoint.stages {
-            let slot = match state.stage() {
-                "framing" => {
-                    self.framing.restore(state)?;
-                    0
-                }
-                "segmentation" => {
-                    self.segmentation.restore(state)?;
-                    1
-                }
-                "motion" => {
-                    self.motion.restore(state)?;
-                    2
-                }
-                "letter" => {
-                    self.letter.restore(state)?;
-                    3
-                }
-                "grammar" => {
-                    self.grammar.restore(state)?;
-                    4
-                }
-                other => return Err(checkpoint_err(format!("unknown stage {other:?}"))),
-            };
-            if seen[slot] {
+            let slot = crate::telemetry::STAGE_NAMES
+                .iter()
+                .position(|&name| name == state.stage())
+                .ok_or_else(|| checkpoint_err(format!("unknown stage {:?}", state.stage())))?;
+            if std::mem::replace(&mut seen[slot], true) {
                 return Err(checkpoint_err(format!(
                     "duplicate stage {:?} in checkpoint",
                     state.stage()
                 )));
             }
-            seen[slot] = true;
+            match slot {
+                0 => fresh.framing.restore(state),
+                1 => fresh.segmentation.restore(state),
+                2 => fresh.motion.restore(state),
+                3 => fresh.letter.restore(state),
+                _ => fresh.grammar.restore(state),
+            }?;
         }
         if !seen.iter().all(|&s| s) {
             return Err(checkpoint_err("checkpoint is missing a stage"));
         }
-        self.out_of_order = checkpoint.policy;
-        self.last_time = checkpoint.last_time;
-        self.out_of_order_count = checkpoint.out_of_order_count;
-        self.finished = checkpoint.finished;
-        self.ticks.clear();
-        self.spans.clear();
-        self.strokes.clear();
-        self.letters.clear();
+        fresh.last_time = checkpoint.last_time;
+        fresh.out_of_order_count = checkpoint.out_of_order_count;
+        fresh.finished = checkpoint.finished;
+        fresh.trace = self.trace.take();
+        *self = fresh;
         Ok(())
     }
 }
@@ -2004,6 +2021,38 @@ mod tests {
         checkpoint.stages.push(dropped);
         checkpoint.stages.push(StageState::new("mystery", "{}"));
         assert!(graph.restore_checkpoint(&checkpoint).is_err());
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_graph_unchanged() {
+        let source = driven_graph();
+        let valid = source.checkpoint();
+        // A target that already consumed reports of its own.
+        let mut target = quiet_graph(1.5);
+        for step in 0..90u64 {
+            target.push(quiet_obs(step % 3, 20.0 + step as f64 / 60.0));
+        }
+        let before = target.checkpoint();
+        assert_ne!(before, valid);
+
+        let mut missing = valid.clone();
+        missing.stages.retain(|s| s.stage() != "grammar");
+        let mut duplicate = valid.clone();
+        duplicate.stages.insert(1, valid.stages[0].clone());
+        let mut corrupt_last = valid.clone();
+        corrupt_last.stages[4] = StageState::new("grammar", "{\"surprise\":1}");
+        for (what, bad) in [
+            ("missing", missing),
+            ("duplicate", duplicate),
+            ("corrupt", corrupt_last),
+        ] {
+            assert!(target.restore_checkpoint(&bad).is_err(), "{what} accepted");
+            assert_eq!(target.checkpoint(), before, "{what} restore half-applied");
+        }
+        target.assert_cache_matches_rebuild();
+        // A valid checkpoint still restores afterwards.
+        target.restore_checkpoint(&valid).unwrap();
+        assert_eq!(target.checkpoint(), valid);
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Live kiosk: the online pipeline on its own thread, fed over crossbeam
-//! channels at (accelerated) real-time pacing — the deployment shape of an
+//! Live kiosk: the online recognizer on an engine worker thread, fed
+//! report by report through a session handle — the deployment shape of an
 //! actual installation, where LLRP reports stream in from the network and
 //! UI events stream out.
 //!
 //! Run with: `cargo run --release --example live_kiosk`
 
-use crossbeam::channel;
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::user::UserProfile;
 use hand_kinematics::writer::Writer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfipad::pipeline::{spawn, PipelineEvent};
-use rfipad::RfipadConfig;
+use rfipad::{Engine, PipelineEvent, RfipadConfig, StageGraph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = Bench::calibrate(
@@ -32,30 +30,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     observations.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite"));
     println!(
-        "streaming {} tag reads through the threaded pipeline…",
+        "streaming {} tag reads through an engine session…",
         observations.len()
     );
 
-    // Spin up the engine on its own thread.
-    let pipeline = rfipad::OnlinePipeline::builder()
+    // One engine session: its worker thread runs the stage graph while
+    // this thread feeds reports; closing flushes it and hands back the
+    // events for the kiosk UI.
+    let engine = Engine::builder().workers(1).build()?;
+    let graph = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.8)
         .build()?;
-    let (obs_tx, obs_rx) = channel::unbounded();
-    let (handle, events) = spawn(pipeline, obs_rx);
-
-    // Feed the stream (drop the channel to signal end-of-stream), then
-    // drain events as the kiosk UI would.
-    let feeder = std::thread::spawn(move || {
-        for obs in observations {
-            if obs_tx.send(obs).is_err() {
-                return;
-            }
-        }
-    });
+    let session = engine.open_session("kiosk", graph)?;
+    for obs in observations {
+        session.ingest(obs)?;
+    }
+    let events = session.close()?;
 
     let mut word = String::new();
-    for event in events.iter() {
+    for event in events {
         match event {
             PipelineEvent::StrokeDetected {
                 stroke,
@@ -76,8 +70,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    feeder.join().expect("feeder finished");
-    handle.join().expect("pipeline finished");
 
     println!("\nkiosk read: \"{word}\"");
     assert_eq!(word, "HI");

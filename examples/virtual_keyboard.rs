@@ -16,8 +16,8 @@ use hand_kinematics::writer::Writer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rf_sim::targets::MovingTarget;
-use rfipad::pipeline::{OnlinePipeline, PipelineEvent};
 use rfipad::prelude::*;
+use rfipad::{PipelineEvent, StageGraph};
 
 // Reuse the experiment harness's deployment builder: it assembles the same
 // scene the quickstart builds by hand.
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stream the reads through the online engine and print UI commands as
     // the kiosk would execute them.
-    let mut pipeline = OnlinePipeline::builder()
+    let mut pipeline = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.8)
         .build()?;

@@ -45,6 +45,26 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q
 
+echo "== examples smoke (all five run in release; pinned outputs) =="
+# Every example must exit 0. Two print a recognition the docs quote, and
+# those lines must not move.
+for example in quickstart virtual_keyboard airport_kiosk deployment_planner live_kiosk; do
+  out=$(cargo run --release --quiet -p experiments --example "$example") || {
+    echo "bench-check: example $example exited nonzero" >&2
+    exit 1
+  }
+  case "$example" in
+    quickstart) expect="recognized letter: Some('R')" ;;
+    live_kiosk) expect='kiosk read: "HI"' ;;
+    *) expect="" ;;
+  esac
+  if [ -n "$expect" ] && ! grep -qF "$expect" <<<"$out"; then
+    echo "bench-check: example $example no longer prints: $expect" >&2
+    exit 1
+  fi
+  echo "example $example: OK"
+done
+
 echo "== simulator pin (perfbench tests + recorded letter accuracy) =="
 # A simulator change must not shift accuracy unnoticed: the benchmark's own
 # tests must pass, and the correct-letter counts it recomputes for seeds

@@ -4,8 +4,8 @@
 use experiments::{Bench, Deployment, DeploymentSpec};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
 use hand_kinematics::user::UserProfile;
-use rfipad::pipeline::{OnlinePipeline, PipelineEvent};
 use rfipad::RfipadConfig;
+use rfipad::{PipelineEvent, StageGraph};
 
 fn bench() -> Bench {
     Bench::calibrate(
@@ -60,7 +60,7 @@ fn online_pipeline_matches_offline_result() {
     let user = UserProfile::average();
     let trial = bench.run_letter_trial('T', &user, 88);
 
-    let mut pipeline = OnlinePipeline::builder()
+    let mut pipeline = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.5)
         .build()

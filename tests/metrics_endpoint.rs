@@ -5,7 +5,7 @@
 //! and the text must survive the exposition-format validator.
 
 use experiments::golden::{golden_bench, golden_trial, GOLDEN_LETTER};
-use rfipad::{Engine, OnlinePipeline, PipelineEvent};
+use rfipad::{Engine, PipelineEvent, StageGraph};
 use std::io::{Read as _, Write as _};
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -31,7 +31,7 @@ fn live_engine_exposition_covers_every_layer() {
         .metrics_addr("127.0.0.1:0")
         .build()
         .expect("engine with endpoint");
-    let pipeline = OnlinePipeline::builder()
+    let pipeline = StageGraph::builder()
         .recognizer(bench.recognizer.clone())
         .letter_gap_s(1.5)
         .build()
