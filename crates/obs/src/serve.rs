@@ -9,12 +9,16 @@
 //! status code. Callbacks run per request, so the server always serves
 //! fresh values and the caller can refresh derived gauges first.
 //!
+//! The accept side is [`AcceptLoop`], the one listener primitive every TCP
+//! server in the workspace shares: a thread blocked in `accept`, woken for
+//! shutdown by a connection to itself, so it neither polls nor sleeps.
+//!
 //! Security note: there is no TLS and no authentication — bind to
 //! loopback (`127.0.0.1:0`) or a firewalled interface only, exactly like a
 //! bare Prometheus client endpoint (see DESIGN.md §Observability).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -85,17 +89,113 @@ impl RouteResponse {
 /// fall through to the built-in 404. Runs on the server thread.
 pub type RouteFn = Arc<dyn Fn(&str) -> Option<RouteResponse> + Send + Sync>;
 
-/// Handle to a running metrics endpoint; shuts the thread down on drop.
-pub struct MetricsServer {
+/// A thread blocked in `accept` on a TCP listener, handing each accepted
+/// connection to a callback. [`AcceptLoop::stop`] (or drop) raises a flag,
+/// wakes the blocked `accept` with a connection to the listener itself,
+/// and joins the thread: connections are taken the moment they arrive and
+/// shutdown needs no poll interval.
+pub struct AcceptLoop {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
+impl std::fmt::Debug for AcceptLoop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AcceptLoop")
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Pause after a failed `accept` (say, out of file descriptors) so a
+/// persistent error does not spin the thread. Not a poll: a healthy
+/// listener never sleeps.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+impl AcceptLoop {
+    /// Starts a thread named `name` that accepts on `listener` (switched
+    /// to blocking mode) and calls `on_conn` with every connection, on the
+    /// accept thread.
+    ///
+    /// # Errors
+    ///
+    /// The listener's mode or address cannot be read or set, or the thread
+    /// cannot be spawned.
+    pub fn spawn<F>(listener: TcpListener, name: &str, mut on_conn: F) -> std::io::Result<Self>
+    where
+        F: FnMut(TcpStream, SocketAddr) + Send + 'static,
+    {
+        listener.set_nonblocking(false)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                if stopping.load(Ordering::SeqCst) {
+                    return; // the wake-up connection, or one racing it
+                }
+                match accepted {
+                    Ok((stream, peer)) => on_conn(stream, peer),
+                    Err(e) => {
+                        crate::warn!("accept error: {e}"; addr = addr);
+                        std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                    }
+                }
+            })?;
+        Ok(Self {
+            addr,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting and joins the thread; a no-op once stopped. If the
+    /// wake-up connection cannot be made, the thread is left to exit at
+    /// its next `accept` rather than joined.
+    pub fn stop(&mut self) {
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        let wake = match self.addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, self.addr.port()).into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, self.addr.port()).into(),
+            _ => self.addr,
+        };
+        match TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            Ok(_) => {
+                if handle.join().is_err() {
+                    crate::warn!("accept loop thread panicked"; addr = self.addr);
+                }
+            }
+            Err(e) => crate::warn!("accept loop not woken: {e}"; addr = self.addr),
+        }
+    }
+}
+
+impl Drop for AcceptLoop {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Handle to a running metrics endpoint; shuts the thread down on drop.
+pub struct MetricsServer {
+    accept: AcceptLoop,
+}
+
 impl std::fmt::Debug for MetricsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.accept.addr())
             .finish_non_exhaustive()
     }
 }
@@ -103,21 +203,9 @@ impl std::fmt::Debug for MetricsServer {
 impl MetricsServer {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 }
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Poll interval of the accept loop; bounds shutdown latency.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Starts a metrics endpoint on `addr` (e.g. `"127.0.0.1:0"`) serving
 /// only the two metrics sinks.
@@ -142,39 +230,13 @@ pub fn serve_routes(
     routes: RouteFn,
 ) -> std::io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("obs-metrics".into())
-        .spawn(move || accept_loop(listener, render, routes, stop_flag))
-        .expect("spawn metrics thread");
-    crate::info!("metrics endpoint listening"; addr = bound);
-    Ok(MetricsServer {
-        addr: bound,
-        stop,
-        handle: Some(handle),
-    })
-}
-
-fn accept_loop(listener: TcpListener, render: RenderFn, routes: RouteFn, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if let Err(e) = handle_request(stream, &render, &routes) {
-                    crate::debug!("metrics request failed: {e}");
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                crate::warn!("metrics accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
+    let accept = AcceptLoop::spawn(listener, "obs-metrics", move |stream, _peer| {
+        if let Err(e) = handle_request(stream, &render, &routes) {
+            crate::debug!("metrics request failed: {e}");
         }
-    }
+    })?;
+    crate::info!("metrics endpoint listening"; addr = accept.addr());
+    Ok(MetricsServer { accept })
 }
 
 fn status_line(status: u16) -> String {
@@ -258,6 +320,28 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).expect("read");
         out
+    }
+
+    #[test]
+    fn accept_loop_hands_over_connections_and_stops_without_polling() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let listener = TcpListener::bind(bind).expect("bind");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let mut accept = AcceptLoop::spawn(listener, "obs-test-accept", move |stream, _| {
+                tx.send(stream).expect("test alive");
+            })
+            .expect("spawn");
+            let port = accept.addr().port();
+            let _client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("connection handed over");
+            let t0 = std::time::Instant::now();
+            accept.stop();
+            assert!(t0.elapsed() < Duration::from_secs(1), "{bind}: slow stop");
+            // The thread exited and dropped the listener.
+            assert!(TcpStream::connect(("127.0.0.1", port)).is_err(), "{bind}");
+            accept.stop(); // idempotent
+        }
     }
 
     #[test]

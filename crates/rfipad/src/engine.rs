@@ -13,10 +13,28 @@
 //! on this engine or another — so the remainder of the stream produces
 //! exactly the events the uninterrupted session would have.
 //!
-//! Determinism is preserved per session: a session is only ever drained by
-//! the one worker it was assigned to, and never by two threads at once, so
-//! its graph consumes reports in exactly the order they were fed. With
-//! [`Backpressure::Block`] (no drops), a session's recognitions are
+//! # Dispatch
+//!
+//! Every session carries a `scheduled` token, and only its holder drains
+//! the session, so at most one thread drains a session at a time and its
+//! graph consumes reports in exactly the order they were fed. The token
+//! goes to whoever enqueues into an unscheduled session, and the
+//! *caller-runs* rule decides who then does the work: the enqueuing
+//! thread drains the session itself when
+//!
+//! - the item carries at most [`INLINE_MAX_REPORTS`] reports (a close
+//!   counts as an empty item),
+//! - the session's worker has no session handed to it, and
+//! - the session's state lock is free right now (`try_lock`).
+//!
+//! Otherwise the session is handed to the worker it was assigned at open
+//! time, through that worker's mailbox. Idle eviction and shutdown always
+//! hand off. The rule spares a small item the hand-off — queue, mailbox,
+//! worker wake-up — that would cost more than its stage work, while large
+//! batches and every busy worker keep the pool's backpressure: a wedged
+//! worker still lets its sessions' queues fill and shed.
+//!
+//! With [`Backpressure::Block`] (no drops), a session's recognitions are
 //! bit-identical to running the same reports through a [`StageGraph`]
 //! directly — modulo wall-clock response times, which
 //! [`normalize_events`] strips for comparison.
@@ -46,7 +64,7 @@ use rfid_gen2::source::ReportSource;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,6 +73,16 @@ use std::time::{Duration, Instant};
 /// enough that a batch stays cache-resident and recognition latency stays
 /// sub-batch.
 pub const DEFAULT_INGEST_BATCH: usize = 64;
+
+/// Largest item, in reports, that the enqueuing thread may drain itself
+/// under the caller-runs rule (see the [module docs](self)). A served
+/// BATCH frame carries about 20 reports and about 10 µs of stage work;
+/// running it inline instead of handing it to an idle worker cut the
+/// server's CPU per frame from about 38 µs to 25 µs (perfbench `serve`,
+/// 2-vCPU host). At 256 reports the stage work (about 0.15 ms) dwarfs the
+/// hand-off, and larger items — `ingest`'s 1024-report batches — go to
+/// the workers, so one feeder thread never serializes the pool.
+pub const INLINE_MAX_REPORTS: usize = 256;
 
 /// What one `ingest` call did, as seen by the caller: how many reports it
 /// put on the session queue and how many *previously queued* reports it
@@ -102,7 +130,8 @@ pub enum Backpressure {
     /// default). Replays and determinism checks want this.
     #[default]
     Block,
-    /// Drop the oldest queued report to make room (lossy, counted in
+    /// Drop the oldest queued item — one report or a whole batch — to
+    /// make room (lossy; every report it carried is counted in
     /// [`SessionStats::reports_dropped`]). Live feeds that must never
     /// stall the reader loop want this.
     DropOldest,
@@ -155,7 +184,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-session queue capacity in reports (default 1024).
+    /// Per-session queue capacity in queued items — single reports or
+    /// whole batches (default 1024).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
         self
@@ -306,14 +336,13 @@ struct SessionState {
     graph: StageGraph,
     events: Vec<PipelineEvent>,
     latency: LatencyRecorder,
-    /// Event scratch reused across drains, so the worker hands events to
+    /// Event scratch reused across drains, so the drainer hands events to
     /// the graph's `push_into`/`push_batch` without allocating per item.
     scratch: Vec<PipelineEvent>,
-    /// Reports the worker has pushed through the graph, incremented under
-    /// this lock. [`SessionHandle::checkpoint`] compares it against the
-    /// feed counters to know when the session has quiesced: the queue
-    /// being empty is not enough, because the worker pops an item *before*
-    /// taking this lock.
+    /// Reports pushed through the graph, incremented under this lock.
+    /// [`SessionHandle::checkpoint`] compares it against the feed counters
+    /// to know when the session has quiesced: the queue being empty is not
+    /// enough, because the drainer pops an item *before* taking this lock.
     processed: u64,
 }
 
@@ -360,25 +389,30 @@ impl QueueItem {
 }
 
 /// One open session. Shared between its handle, the engine's session map,
-/// and the worker currently draining it.
+/// and the thread currently draining it.
 struct SessionInner {
     id: String,
-    /// Index of the one worker allowed to drain this session — the
-    /// single-consumer guarantee behind per-session determinism.
+    /// Index of the worker this session is handed to when its feeder does
+    /// not drain it inline.
     worker: usize,
     /// The session's letter gap, copied out so eviction never needs the
     /// state lock.
     letter_gap_s: f64,
     queue_tx: Sender<QueueItem>,
     queue_rx: Receiver<QueueItem>,
-    /// Wakeup token: set by whoever enqueues the session into its worker's
-    /// mailbox, cleared by the worker when it believes the queue is empty.
-    /// The set-check-reset dance guarantees the session is in at most one
-    /// mailbox at a time and that no report is left behind.
+    /// Drain token: won by whoever enqueues into an unscheduled session,
+    /// held while that thread — or the worker it hands the session to —
+    /// drains, and released when the drainer believes the queue is empty.
+    /// The set-check-reset dance guarantees at most one thread drains the
+    /// session at a time (the single-consumer guarantee behind
+    /// per-session determinism) and that no report is left behind.
     scheduled: AtomicBool,
     /// No further feeds accepted (close or eviction started).
     closed: AtomicBool,
-    /// The worker should flush the pipeline once the queue is empty.
+    /// Feeds between their `closed` check and their enqueue. The flush
+    /// waits for zero, so it never overtakes a feed it already admitted.
+    feeding: AtomicUsize,
+    /// The drainer should flush the pipeline once the queue is empty.
     finishing: AtomicBool,
     /// The pipeline has been flushed; set under the state lock.
     finished: AtomicBool,
@@ -399,6 +433,9 @@ struct Shared {
     sessions: Mutex<HashMap<String, Arc<SessionInner>>>,
     /// One mailbox per worker; cleared on shutdown so workers exit.
     mailboxes: Mutex<Vec<Sender<Arc<SessionInner>>>>,
+    /// Per worker: sessions handed to it and not yet drained to idle. A
+    /// caller only runs a session inline while its worker's load is zero.
+    worker_load: Vec<AtomicUsize>,
     next_worker: AtomicUsize,
     totals: Counters,
     sessions_opened: AtomicU64,
@@ -406,35 +443,105 @@ struct Shared {
     sessions_evicted: AtomicU64,
 }
 
-/// Enqueues the session into its worker's mailbox unless it is already
-/// scheduled.
-fn schedule(shared: &Shared, sess: &Arc<SessionInner>) -> Result<(), RfipadError> {
+/// Claims the session's drain token and dispatches it: drains inline on
+/// the calling thread when `caller_may_run` and the caller-runs rule
+/// allow it (see the [module docs](self)), hands it to its worker
+/// otherwise. A session someone else already holds is left to them: the
+/// holder re-checks the queue before letting go.
+fn schedule(
+    shared: &Shared,
+    sess: &Arc<SessionInner>,
+    caller_may_run: bool,
+) -> Result<(), RfipadError> {
     if sess
         .scheduled
         .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
         .is_err()
     {
-        return Ok(()); // already queued or being drained; the worker re-checks
+        return Ok(());
     }
+    let load = &shared.worker_load[sess.worker];
+    if caller_may_run && load.load(Ordering::SeqCst) == 0 {
+        if let Ok(state) = sess.state.try_lock() {
+            drain_until_idle(shared, sess, Some(state));
+            return Ok(());
+        }
+    }
+    load.fetch_add(1, Ordering::SeqCst);
     let mailboxes = shared.mailboxes.lock().expect("engine mailboxes poisoned");
     match mailboxes.get(sess.worker) {
         Some(tx) if tx.send(Arc::clone(sess)).is_ok() => Ok(()),
         _ => {
+            load.fetch_sub(1, Ordering::SeqCst);
             sess.scheduled.store(false, Ordering::SeqCst);
             Err(RfipadError::EngineDown)
         }
     }
 }
 
+/// Releases a session's drain token when dropped — also while a panicking
+/// stage unwinds, so a panic cannot leave the session scheduled forever.
+struct TokenRelease<'a>(&'a AtomicBool);
+
+impl Drop for TokenRelease<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The one drain loop, run by a worker for a session handed to it and by a
+/// feeder under the caller-runs rule. The caller holds the session's drain
+/// token; `held` is its state lock if the caller already took it. Drains,
+/// releases the token, and goes again if work slipped in meanwhile and the
+/// token is still free.
+fn drain_until_idle<'a>(
+    shared: &Shared,
+    sess: &'a SessionInner,
+    mut held: Option<MutexGuard<'a, SessionState>>,
+) {
+    loop {
+        {
+            let _token = TokenRelease(&sess.scheduled);
+            drain_session(shared, sess, held.take());
+        }
+        // Anything slipped in between the last try_recv and the release?
+        // Reclaim the token and go again; if someone else just reclaimed
+        // it, they drain.
+        let queued = !sess.queue_rx.is_empty();
+        let flush_due =
+            sess.finishing.load(Ordering::SeqCst) && !sess.finished.load(Ordering::SeqCst);
+        if !(queued || flush_due)
+            || sess
+                .scheduled
+                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+        {
+            return;
+        }
+        if !queued {
+            // The flush waits on a feed still in flight; let it land.
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// Processes everything currently queued for a session, then flushes the
-/// pipeline if a close or eviction asked for it.
-fn drain_session(shared: &Shared, sess: &SessionInner) {
+/// pipeline if a close or eviction asked for it. `held` is the state lock
+/// when the caller already holds it; it serves the first item.
+fn drain_session<'a>(
+    shared: &Shared,
+    sess: &'a SessionInner,
+    mut held: Option<MutexGuard<'a, SessionState>>,
+) {
     let em = crate::telemetry::engine_metrics();
+    let lock = |held: Option<MutexGuard<'a, SessionState>>| {
+        held.unwrap_or_else(|| sess.state.lock().expect("session state poisoned"))
+    };
     while let Ok(item) = sess.queue_rx.try_recv() {
         let queue_wait = item.enqueued.map(|at| at.elapsed());
         let t0 = Instant::now();
         let n_in = item.reports() as u64;
-        let mut state = sess.state.lock().expect("session state poisoned");
+        let mut state = lock(held.take());
         if let Some(wait) = queue_wait {
             record_queue_hop(&state, wait);
         }
@@ -456,11 +563,14 @@ fn drain_session(shared: &Shared, sess: &SessionInner) {
         } = &mut *state;
         events.append(scratch);
     }
+    // `feeding` before the queue: a feed that has left it has already
+    // queued its item.
     if sess.finishing.load(Ordering::SeqCst)
+        && sess.feeding.load(Ordering::SeqCst) == 0
         && sess.queue_rx.is_empty()
         && !sess.finished.load(Ordering::SeqCst)
     {
-        let mut state = sess.state.lock().expect("session state poisoned");
+        let mut state = lock(held.take());
         let events = state.graph.finish();
         let n = events.len() as u64;
         sess.counters.events_out.fetch_add(n, Ordering::Relaxed);
@@ -501,30 +611,14 @@ fn record_queue_hop(state: &SessionState, wait: Duration) {
     );
 }
 
-fn worker_loop(shared: Arc<Shared>, mailbox: Receiver<Arc<SessionInner>>) {
+fn worker_loop(shared: Arc<Shared>, index: usize, mailbox: Receiver<Arc<SessionInner>>) {
     while let Ok(sess) = mailbox.recv() {
-        loop {
-            drain_session(&shared, &sess);
-            sess.scheduled.store(false, Ordering::SeqCst);
-            // Anything slipped in between the last try_recv and the reset?
-            // Reclaim the token and go again; if someone else just
-            // reclaimed it, the session is back in our mailbox anyway.
-            let more = !sess.queue_rx.is_empty()
-                || (sess.finishing.load(Ordering::SeqCst) && !sess.finished.load(Ordering::SeqCst));
-            if more
-                && sess
-                    .scheduled
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                continue;
-            }
-            break;
-        }
+        drain_until_idle(&shared, &sess, None);
+        shared.worker_load[index].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Waits until the session's pipeline has been flushed by its worker.
+/// Waits until the session's pipeline has been flushed.
 fn wait_finished(sess: &SessionInner) {
     let mut state = sess.state.lock().expect("session state poisoned");
     while !sess.finished.load(Ordering::SeqCst) {
@@ -533,12 +627,17 @@ fn wait_finished(sess: &SessionInner) {
     drop(state);
 }
 
-/// Marks a session finished-pending and wakes its worker. Shared by
-/// close, eviction, and shutdown.
-fn begin_finish(shared: &Shared, sess: &Arc<SessionInner>) -> Result<(), RfipadError> {
+/// Marks a session finished-pending and schedules the flush. Shared by
+/// close (which may flush inline, `caller_may_run`), eviction and
+/// shutdown (which always hand off).
+fn begin_finish(
+    shared: &Shared,
+    sess: &Arc<SessionInner>,
+    caller_may_run: bool,
+) -> Result<(), RfipadError> {
     sess.closed.store(true, Ordering::SeqCst);
     sess.finishing.store(true, Ordering::SeqCst);
-    schedule(shared, sess)
+    schedule(shared, sess, caller_may_run)
 }
 
 /// The multi-session ingest engine: a worker pool draining per-session
@@ -579,12 +678,14 @@ impl Engine {
             mailboxes.push(tx);
             receivers.push(rx);
         }
+        let worker_load = (0..config.workers).map(|_| AtomicUsize::new(0)).collect();
         let shared = Arc::new(Shared {
             config,
             epoch: Instant::now(),
             down: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
             mailboxes: Mutex::new(mailboxes),
+            worker_load,
             next_worker: AtomicUsize::new(0),
             totals: Counters::default(),
             sessions_opened: AtomicU64::new(0),
@@ -598,7 +699,7 @@ impl Engine {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rfipad-engine-{i}"))
-                    .spawn(move || worker_loop(shared, rx))
+                    .spawn(move || worker_loop(shared, i, rx))
                     .expect("spawn engine worker")
             })
             .collect();
@@ -644,6 +745,7 @@ impl Engine {
             queue_rx,
             scheduled: AtomicBool::new(false),
             closed: AtomicBool::new(false),
+            feeding: AtomicUsize::new(0),
             finishing: AtomicBool::new(false),
             finished: AtomicBool::new(false),
             last_fed_us: AtomicU64::new(self.shared.epoch.elapsed().as_micros() as u64),
@@ -723,9 +825,10 @@ impl Engine {
 
     /// Evicts every session idle longer than `idle_eviction_factor ×
     /// letter_gap_s` (wall-clock). Evicted sessions are flushed by their
-    /// worker; their handles can still [`SessionHandle::drain_events`] /
-    /// [`SessionHandle::close`], but feeds fail with
-    /// [`RfipadError::SessionClosed`]. Returns the evicted ids.
+    /// worker, never by the sweeping thread; their handles can still
+    /// [`SessionHandle::drain_events`] / [`SessionHandle::close`], but
+    /// feeds fail with [`RfipadError::SessionClosed`]. Returns the evicted
+    /// ids.
     pub fn sweep_idle(&self) -> Vec<String> {
         let now_us = self.shared.epoch.elapsed().as_micros() as u64;
         let factor = self.shared.config.idle_eviction_factor;
@@ -740,7 +843,7 @@ impl Engine {
             if (idle_us as f64) < timeout_us {
                 return true;
             }
-            let _ = begin_finish(&self.shared, sess);
+            let _ = begin_finish(&self.shared, sess, false);
             evicted.push(id.clone());
             false
         });
@@ -803,7 +906,7 @@ impl Engine {
             sessions.drain().map(|(_, s)| s).collect()
         };
         for sess in &drained {
-            let _ = begin_finish(&self.shared, sess);
+            let _ = begin_finish(&self.shared, sess, false);
         }
         for sess in &drained {
             wait_finished(sess);
@@ -862,7 +965,7 @@ fn engine_stats(shared: &Shared) -> EngineStats {
 const SESSION_GAUGES: [(&str, &str); 3] = [
     (
         "rfipad_session_queue_depth",
-        "Reports currently queued for the session.",
+        "Items (reports or batches) currently queued for the session.",
     ),
     (
         "rfipad_session_pending_events",
@@ -1053,6 +1156,7 @@ fn session_stats(sess: &SessionInner) -> SessionStats {
         worker: sess.worker,
         reports_in: sess.counters.reports_in.load(Ordering::Relaxed),
         reports_dropped: sess.counters.reports_dropped.load(Ordering::Relaxed),
+        reports_processed: state.processed,
         events_out: sess.counters.events_out.load(Ordering::Relaxed),
         out_of_order: state.graph.out_of_order_count(),
         pending_events: state.events.len(),
@@ -1068,13 +1172,17 @@ fn session_stats(sess: &SessionInner) -> SessionStats {
 pub struct SessionStats {
     /// The session id.
     pub id: String,
-    /// Which worker drains this session.
+    /// The worker this session is handed to when its feeder does not
+    /// drain it inline.
     pub worker: usize,
     /// Reports accepted into the queue.
     pub reports_in: u64,
     /// Reports evicted from a full queue under
     /// [`Backpressure::DropOldest`].
     pub reports_dropped: u64,
+    /// Reports pushed through the session's graph. Once the session has
+    /// drained, `reports_in == reports_processed + reports_dropped`.
+    pub reports_processed: u64,
     /// Pipeline events produced.
     pub events_out: u64,
     /// Reports whose timestamps ran backwards (see
@@ -1082,7 +1190,7 @@ pub struct SessionStats {
     pub out_of_order: u64,
     /// Events produced but not yet drained by the handle.
     pub pending_events: usize,
-    /// Reports currently queued.
+    /// Items (single reports or whole batches) currently queued.
     pub queue_depth: usize,
     /// Push-latency percentiles.
     pub push_latency: LatencySnapshot,
@@ -1245,10 +1353,11 @@ impl SessionHandle {
         &self.inner.id
     }
 
-    /// Ingests one report. Blocks or drops per the engine's
-    /// [`Backpressure`] policy when the session queue is full; the receipt
-    /// says what happened (`accepted` is 1, `dropped` counts any earlier
-    /// reports evicted to make room).
+    /// Ingests one report; on an idle session it is processed before this
+    /// returns (see the [module docs](self)). Blocks or drops per the
+    /// engine's [`Backpressure`] policy when the session queue is full;
+    /// the receipt says what happened (`accepted` is 1, `dropped` counts
+    /// any earlier reports evicted to make room).
     ///
     /// # Errors
     ///
@@ -1259,7 +1368,10 @@ impl SessionHandle {
     }
 
     /// Ingests a whole batch as one queue item: one channel round-trip,
-    /// one worker wakeup, and one latency record for the entire batch.
+    /// at most one worker hand-off, and one latency record for the entire
+    /// batch. A batch of at most [`INLINE_MAX_REPORTS`] reports on an idle
+    /// session is processed before this returns (see the [module
+    /// docs](self)).
     /// Under [`Backpressure::Block`] the session's recognitions are
     /// bit-identical to ingesting the same reports one at a time. The
     /// receipt's `accepted` is the batch length; an empty batch is a no-op
@@ -1278,6 +1390,24 @@ impl SessionHandle {
     }
 
     fn ingest_item(&self, item: QueueItem) -> Result<IngestReceipt, RfipadError> {
+        let sess = &self.inner;
+        // In flight from before the closed check until the item is queued:
+        // a concurrent close or eviction flushes only once this is back to
+        // zero, so an accepted item is never left behind the flush.
+        sess.feeding.fetch_add(1, Ordering::SeqCst);
+        let queued = self.enqueue(item);
+        sess.feeding.fetch_sub(1, Ordering::SeqCst);
+        let receipt = queued?;
+        if receipt.accepted == 0 {
+            return Ok(receipt);
+        }
+        let small = receipt.accepted <= INLINE_MAX_REPORTS as u64;
+        schedule(&self.shared, sess, small).map(|_| receipt)
+    }
+
+    /// Checks that the session still takes feeds, then queues `item` under
+    /// the backpressure policy and counts it.
+    fn enqueue(&self, item: QueueItem) -> Result<IngestReceipt, RfipadError> {
         let sess = &self.inner;
         let em = crate::telemetry::engine_metrics();
         if self.shared.down.load(Ordering::SeqCst) {
@@ -1338,7 +1468,7 @@ impl SessionHandle {
             self.shared.epoch.elapsed().as_micros() as u64,
             Ordering::Relaxed,
         );
-        schedule(&self.shared, sess).map(|_| IngestReceipt {
+        Ok(IngestReceipt {
             accepted: n as u64,
             dropped: evicted_here,
         })
@@ -1449,14 +1579,18 @@ impl SessionHandle {
     pub fn checkpoint(&self) -> Result<SessionCheckpoint, RfipadError> {
         let sess = &self.inner;
         loop {
-            if self.shared.down.load(Ordering::SeqCst) {
-                return Err(RfipadError::EngineDown);
-            }
-            if sess.closed.load(Ordering::SeqCst) {
-                return Err(RfipadError::SessionClosed(sess.id.clone()));
-            }
             {
+                // Checked under the state lock: close, eviction and
+                // shutdown mark the session before its flush, and the
+                // flush needs this lock, so a snapshot taken here can never
+                // be of a finished pipeline.
                 let state = sess.state.lock().expect("session state poisoned");
+                if self.shared.down.load(Ordering::SeqCst) {
+                    return Err(RfipadError::EngineDown);
+                }
+                if sess.closed.load(Ordering::SeqCst) {
+                    return Err(RfipadError::SessionClosed(sess.id.clone()));
+                }
                 let accounted =
                     state.processed + sess.counters.reports_dropped.load(Ordering::Relaxed);
                 if accounted == sess.counters.reports_in.load(Ordering::Relaxed) {
@@ -1496,7 +1630,7 @@ impl SessionHandle {
     /// [`close`](Self::close).
     pub fn close_with_stats(self) -> Result<(Vec<PipelineEvent>, SessionStats), RfipadError> {
         let sess = &self.inner;
-        let kicked = begin_finish(&self.shared, sess);
+        let kicked = begin_finish(&self.shared, sess, true);
         if kicked.is_err() && !sess.finished.load(Ordering::SeqCst) {
             return kicked.map(|_| (Vec::new(), session_stats(sess)));
         }
@@ -1818,6 +1952,51 @@ mod tests {
         let mut events = session.close().expect("close");
         normalize_events(&mut events);
         assert_eq!(events, expected);
+    }
+
+    #[test]
+    fn small_batches_on_an_idle_session_are_processed_before_ingest_returns() {
+        let engine = Engine::builder().workers(1).build().expect("engine");
+        let session = engine
+            .open_session("inline", quiet_pipeline())
+            .expect("open");
+        let reports = quiet_reports(20 + INLINE_MAX_REPORTS + 1);
+        // Nothing else touches this session and its worker holds nothing,
+        // so the feeder drains each small item itself.
+        let items = [
+            &reports[..1],
+            &reports[1..20],
+            &reports[20..20 + INLINE_MAX_REPORTS],
+        ];
+        let mut fed = 0u64;
+        for (i, item) in items.into_iter().enumerate() {
+            session
+                .ingest_batch(item.iter().copied().collect())
+                .expect("ingest_batch");
+            fed += item.len() as u64;
+            let stats = session.stats();
+            assert_eq!(stats.reports_processed, fed, "item {i} still queued");
+            assert_eq!(stats.queue_depth, 0);
+            assert_eq!(stats.push_latency.count, i as u64 + 1);
+        }
+        session
+            .ingest(reports[20 + INLINE_MAX_REPORTS])
+            .expect("ingest");
+        assert_eq!(session.stats().reports_processed, fed + 1);
+        let (_, stats) = session.close_with_stats().expect("close");
+        assert_eq!(stats.reports_in, reports.len() as u64);
+        assert_eq!(stats.reports_processed, reports.len() as u64);
+    }
+
+    #[test]
+    fn a_panicking_drain_releases_the_session_token() {
+        let scheduled = AtomicBool::new(true);
+        let unwound = std::panic::catch_unwind(|| {
+            let _token = TokenRelease(&scheduled);
+            panic!("stage panicked mid-drain");
+        });
+        assert!(unwound.is_err());
+        assert!(!scheduled.load(Ordering::SeqCst), "token left set");
     }
 
     #[test]

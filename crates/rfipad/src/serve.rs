@@ -16,6 +16,9 @@
 //! SHED carrying exactly how many older reports were evicted, straight
 //! from the engine's [`crate::engine::IngestReceipt`].
 //!
+//! The listener thread is an [`obs::serve::AcceptLoop`]: blocked in
+//! `accept`, it takes each connection the moment it arrives, and joins
+//! connection threads that have finished each time it accepts a new one.
 //! Connections are read with a short poll timeout so every connection
 //! thread notices server shutdown promptly, and a peer that goes silent
 //! (or stalls mid-frame) longer than the idle deadline is disconnected.
@@ -252,12 +255,6 @@ impl IngestServerBuilder {
                 format!("bind failed on {}: {e}", self.addr),
             )
         })?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RfipadError::Source(format!("listener nonblocking: {e}")))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| RfipadError::Source(format!("listener addr: {e}")))?;
         let shared = Arc::new(ServerShared {
             engine,
             factory,
@@ -270,10 +267,12 @@ impl IngestServerBuilder {
             max_frame_len: self.max_frame_len,
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("rfipad-serve".into())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn ingest accept thread");
+        let accept =
+            obs::serve::AcceptLoop::spawn(listener, "rfipad-serve", move |stream, peer| {
+                accept_connection(&accept_shared, stream, peer)
+            })
+            .map_err(|e| RfipadError::Source(format!("ingest accept loop: {e}")))?;
+        let local_addr = accept.addr();
         obs::info!("ingest server listening"; addr = local_addr);
         Ok(IngestServer {
             local_addr,
@@ -290,6 +289,8 @@ struct ServerShared {
     sink: Arc<dyn EventSink>,
     stop: AtomicBool,
     next_conn: AtomicU64,
+    /// Connection threads not yet joined: the live ones, plus any that
+    /// finished since the last accept.
     conns: Mutex<Vec<JoinHandle<()>>>,
     read_timeout: Duration,
     idle_disconnect: Duration,
@@ -301,7 +302,7 @@ struct ServerShared {
 pub struct IngestServer {
     local_addr: std::net::SocketAddr,
     shared: Arc<ServerShared>,
-    accept: Option<JoinHandle<()>>,
+    accept: Option<obs::serve::AcceptLoop>,
 }
 
 impl std::fmt::Debug for IngestServer {
@@ -332,8 +333,8 @@ impl IngestServer {
 
     fn shutdown_inner(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        if let Some(mut accept) = self.accept.take() {
+            accept.stop();
         }
         // Connection threads observe the stop flag within one read
         // timeout, close their sessions, and exit.
@@ -356,41 +357,32 @@ impl Drop for IngestServer {
     }
 }
 
-/// Poll cadence of the nonblocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("rfipad-serve-c{conn_id}"))
-                    .spawn(move || {
-                        serve_metrics().connections_accepted.inc();
-                        serve_metrics().connections_open.add(1);
-                        let mut conn = Connection::new(conn_id, stream, conn_shared);
-                        obs::debug!("ingest connection opened"; conn = conn_id, peer = peer);
-                        conn.run();
-                        conn.finish();
-                        serve_metrics().connections_open.add(-1);
-                        serve_metrics().connections_closed.inc();
-                    })
-                    .expect("spawn ingest connection thread");
-                shared
-                    .conns
-                    .lock()
-                    .expect("conn list poisoned")
-                    .push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                obs::warn!("ingest accept error: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
+/// Starts a thread serving one accepted connection, after joining the
+/// connection threads that have finished since the last accept.
+fn accept_connection(shared: &Arc<ServerShared>, stream: TcpStream, peer: std::net::SocketAddr) {
+    let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+    let conn_shared = Arc::clone(shared);
+    let handle = std::thread::Builder::new()
+        .name(format!("rfipad-serve-c{conn_id}"))
+        .spawn(move || {
+            serve_metrics().connections_accepted.inc();
+            serve_metrics().connections_open.add(1);
+            let mut conn = Connection::new(conn_id, stream, conn_shared);
+            obs::debug!("ingest connection opened"; conn = conn_id, peer = peer);
+            conn.run();
+            conn.finish();
+            serve_metrics().connections_open.add(-1);
+            serve_metrics().connections_closed.inc();
+        })
+        .expect("spawn ingest connection thread");
+    let mut conns = shared.conns.lock().expect("conn list poisoned");
+    let (finished, live): (Vec<_>, Vec<_>) = conns.drain(..).partition(|h| h.is_finished());
+    *conns = live;
+    conns.push(handle);
+    drop(conns);
+    for done in finished {
+        if done.join().is_err() {
+            obs::warn!("ingest connection thread panicked");
         }
     }
 }
@@ -1089,6 +1081,42 @@ mod tests {
             err.to_string().contains("IngestServerBuilder.addr"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined_at_the_next_accept() {
+        let (server, _engine) = server_with(Arc::new(DiscardSink));
+        let all_finished = || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !server
+                .shared
+                .conns
+                .lock()
+                .expect("conn list")
+                .iter()
+                .all(|h| h.is_finished())
+            {
+                assert!(Instant::now() < deadline, "connection threads never exited");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        for _ in 0..50 {
+            let client = IngestClient::connect(server.local_addr()).expect("connect");
+            drop(client);
+        }
+        all_finished();
+        // One more live connection: its accept joins every finished thread.
+        let mut live = IngestClient::connect(server.local_addr()).expect("connect");
+        live.open("pad").expect("open");
+        let (kept, all_live) = {
+            let conns = server.shared.conns.lock().expect("conn list");
+            (conns.len(), conns.iter().all(|h| !h.is_finished()))
+        };
+        assert_eq!(kept, 1, "finished connection threads were not joined");
+        assert!(all_live);
+        live.close("pad").expect("close");
+        drop(live);
+        server.shutdown();
     }
 
     #[test]

@@ -45,6 +45,17 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q
 
+echo "== concurrency stress (engine + serve tests, 5 passes in release) =="
+# Caller-runs dispatch lets feeders and workers race to drain a session,
+# and one pass of the suite will not surface a rare interleaving. The
+# engine and serve unit tests, the loopback serve tests and the engine
+# interleaving property test run five times; any failure fails the gate.
+for pass in 1 2 3 4 5; do
+  echo "stress pass $pass"
+  cargo test -q --release -p rfipad --lib -- engine:: serve::
+  cargo test -q --release -p experiments --test serve_loopback --test engine_interleavings
+done
+
 echo "== examples smoke (all five run in release; pinned outputs) =="
 # Every example must exit 0. Two print a recognition the docs quote, and
 # those lines must not move.
