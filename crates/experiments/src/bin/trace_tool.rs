@@ -284,10 +284,7 @@ fn spans(path: &str) -> Result<(), RfipadError> {
     use obs::trace::SpanEvent;
     let text =
         std::fs::read_to_string(path).map_err(|e| RfipadError::Source(format!("{path}: {e}")))?;
-    let mut events: Vec<SpanEvent> = text
-        .lines()
-        .filter_map(|line| SpanEvent::from_json(line.trim().trim_end_matches(',')))
-        .collect();
+    let mut events: Vec<SpanEvent> = text.lines().filter_map(SpanEvent::from_json).collect();
     if events.is_empty() {
         return Err(RfipadError::Source(format!(
             "{path}: no span events (expected the JSON body of /debug/trace/<session>)"

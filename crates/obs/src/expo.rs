@@ -5,10 +5,10 @@
 //! `\"`, `\n`), histograms expanded into cumulative `_bucket{le="..."}`
 //! series plus `_sum` and `_count`. The JSON sink carries the same data
 //! plus the exact-percentile fields (p50/p90/p99/max) that the text format
-//! has no standard slot for. The serde stand-in under `vendor/` cannot
-//! serialize, so both renderings are hand-rolled here (the same approach
-//! `rfid_gen2::trace` takes for trace files).
+//! has no standard slot for. JSON strings are escaped with
+//! [`crate::json::escape`].
 
+use crate::json::escape;
 use crate::registry::{valid_label_name, valid_metric_name, Metric, Registry};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -35,25 +35,6 @@ fn escape_help(value: &str) -> String {
         match c {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes a string for JSON output.
-pub fn escape_json(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }
@@ -155,9 +136,9 @@ impl Registry {
             let _ = write!(
                 out,
                 "\"{}\":{{\"type\":\"{}\",\"help\":\"{}\",\"series\":[",
-                escape_json(name),
+                escape(name),
                 family.kind.as_str(),
-                escape_json(&family.help)
+                escape(&family.help)
             );
             let mut first_series = true;
             for (labels, metric) in &family.series {
@@ -172,7 +153,7 @@ impl Registry {
                         out.push(',');
                     }
                     first_label = false;
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
+                    let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
                 }
                 out.push('}');
                 match metric {
@@ -440,11 +421,5 @@ mod tests {
         assert!(json.contains("{\"le\":\"+Inf\",\"count\":1}"));
         // Escaping keeps the document one line and quote-balanced.
         assert_eq!(json.matches('\n').count(), 0);
-    }
-
-    #[test]
-    fn json_escape_covers_controls() {
-        assert_eq!(escape_json("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

@@ -27,7 +27,7 @@
 //! recorders accept nothing and samplers return `false`, so a
 //! `RFIPAD_LOG=off` replay never reads the clock for tracing.
 
-use crate::expo::escape_json;
+use crate::json::{self, escape};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,7 +122,7 @@ impl SpanEvent {
         let _ = write!(
             out,
             ",\"name\":\"{}\",\"start_us\":{},\"end_us\":{}}}",
-            escape_json(&self.name),
+            escape(&self.name),
             self.start_us,
             self.end_us
         );
@@ -130,66 +130,38 @@ impl SpanEvent {
     }
 
     /// Parses a span from the single-line JSON form [`SpanEvent::to_json`]
-    /// writes. Returns `None` on any malformation — the flight-recorder
-    /// dump is machine-written, so partial recovery is not worth the
-    /// complexity.
+    /// writes, or from one span line of a [`FlightRecorder::to_json`]
+    /// dump, which may end in the array's `,` separator. Returns `None` on
+    /// anything else — the dump is machine-written, so partial recovery is
+    /// not worth the complexity.
     pub fn from_json(line: &str) -> Option<SpanEvent> {
-        let hex = |key: &str| -> Option<u64> {
-            let field = json_str_field(line, key)?;
-            u64::from_str_radix(&field, 16).ok()
-        };
-        let num = |key: &str| -> Option<u64> {
-            let marker = format!("\"{key}\":");
-            let at = line.find(&marker)? + marker.len();
-            let rest = &line[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let parent = match json_str_field(line, "parent") {
-            Some(p) => Some(SpanId(u64::from_str_radix(&p, 16).ok()?)),
-            None if line.contains("\"parent\":null") => None,
-            None => return None,
-        };
-        Some(SpanEvent {
-            trace: TraceId(hex("trace")?),
-            span: SpanId(hex("span")?),
-            parent,
-            name: json_str_field(line, "name")?,
-            start_us: num("start_us")?,
-            end_us: num("end_us")?,
+        let line = line.trim_end();
+        let doc = json::parse(line.strip_suffix(',').unwrap_or(line)).ok()?;
+        doc.object(|f| {
+            Ok(SpanEvent {
+                trace: TraceId(f.take("trace", hex_id)?),
+                span: SpanId(f.take("span", hex_id)?),
+                parent: f.take("parent", |v| {
+                    (!v.is_null()).then(|| hex_id(v).map(SpanId)).transpose()
+                })?,
+                name: f.take("name", |v| v.as_str().map(str::to_owned))?,
+                start_us: f.take("start_us", json::Value::as_uint)?,
+                end_us: f.take("end_us", json::Value::as_uint)?,
+            })
         })
+        .ok()
     }
 }
 
-/// Extracts the string value of `"key":"..."` from a single-line JSON
-/// object, unescaping the sequences [`escape_json`] produces.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let at = line.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = line[at..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
+/// Reads an id written as `{:016x}`: exactly sixteen hex digits.
+fn hex_id(value: &json::Value<'_>) -> Result<u64, json::Error> {
+    let hex = value.as_str()?;
+    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(json::Error::new(format!(
+            "expected 16 hex digits, got {hex:?}"
+        )));
     }
-    None
+    Ok(u64::from_str_radix(hex, 16).expect("sixteen hex digits fit a u64"))
 }
 
 /// Default span capacity of a per-session flight recorder.

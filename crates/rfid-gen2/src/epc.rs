@@ -41,6 +41,21 @@ impl Epc96 {
         Self(bytes)
     }
 
+    /// The 24 lowercase hex digits trace and checkpoint files store.
+    pub fn to_hex(&self) -> String {
+        self.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Parses [`to_hex`](Self::to_hex)'s form: exactly 24 hex digits, with
+    /// no sign or separator; any other input is described in the error.
+    pub fn from_hex(hex: &str) -> Result<Self, String> {
+        if hex.len() != 24 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(format!("expected 24 hex digits of EPC, got {hex:?}"));
+        }
+        let n = u128::from_str_radix(hex, 16).expect("24 hex digits fit a u128");
+        Ok(Self(n.to_be_bytes()[4..].try_into().expect("12 low bytes")))
+    }
+
     /// Recovers the [`TagId`] from a workspace-minted EPC, or `None` if the
     /// prefix does not match.
     pub fn to_tag(&self) -> Option<TagId> {

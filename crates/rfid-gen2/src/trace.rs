@@ -5,8 +5,8 @@
 //! - **JSON lines** (`.jsonl`): one self-describing JSON object per line —
 //!   greppable, diffable, and editable. Floats are printed with Rust's
 //!   shortest round-trip formatting, so a decoded trace is bit-identical
-//!   to the recorded stream. (The workspace's offline `serde` stand-in has
-//!   no serializer, so the codec writes the JSON framing directly.)
+//!   to the recorded stream. Lines are read back with the strict
+//!   [`obs::json`] reader.
 //! - **Binary** (`.rftrace`): a 4-byte magic (`RFT1`) followed by
 //!   length-prefixed fixed-layout records (big-endian, floats as IEEE-754
 //!   bits via the vendored `bytes` buffers) — compact and exact by
@@ -18,6 +18,7 @@
 use crate::epc::Epc96;
 use crate::report::TagReport;
 use bytes::{Buf, BufMut, BytesMut};
+use obs::json;
 use rf_sim::tags::TagId;
 use std::fmt;
 use std::fs::File;
@@ -90,106 +91,36 @@ impl From<std::io::Error> for TraceError {
 /// Rust's shortest round-trip formatting, so decoding recovers the exact
 /// bits.
 pub fn encode_json_line(r: &TagReport) -> String {
-    let mut epc_hex = String::with_capacity(24);
-    for b in r.epc.as_bytes() {
-        epc_hex.push_str(&format!("{b:02x}"));
-    }
     format!(
-        "{{\"epc\":\"{epc_hex}\",\"tag\":{},\"time\":{},\"phase\":{},\"rss_dbm\":{},\"doppler_hz\":{},\"antenna_port\":{},\"channel_index\":{}}}",
-        r.tag.0, r.time, r.phase, r.rss_dbm, r.doppler_hz, r.antenna_port, r.channel_index
+        "{{\"epc\":\"{}\",\"tag\":{},\"time\":{},\"phase\":{},\"rss_dbm\":{},\"doppler_hz\":{},\"antenna_port\":{},\"channel_index\":{}}}",
+        r.epc.to_hex(), r.tag.0, r.time, r.phase, r.rss_dbm, r.doppler_hz, r.antenna_port, r.channel_index
     )
 }
 
-fn parse_err(line: usize, reason: impl Into<String>) -> TraceError {
-    TraceError::Parse {
-        line,
-        reason: reason.into(),
-    }
-}
-
-/// Decodes one JSON trace line (field order independent). `line_no` is the
-/// 1-based line number used in error messages.
+/// Decodes one JSON trace line (field order independent) with the strict
+/// [`obs::json`] reader. `line_no` is the 1-based line number used in
+/// error messages.
 pub fn decode_json_line(line: &str, line_no: usize) -> Result<TagReport, TraceError> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| parse_err(line_no, "not a JSON object"))?;
-
-    let mut epc = None;
-    let mut tag = None;
-    let mut time = None;
-    let mut phase = None;
-    let mut rss = None;
-    let mut doppler = None;
-    let mut antenna = None;
-    let mut channel = None;
-
-    // The only string field (epc) is fixed-charset hex, so splitting the
-    // object body on commas is unambiguous.
-    for field in body.split(',') {
-        let (key, value) = field
-            .split_once(':')
-            .ok_or_else(|| parse_err(line_no, format!("field without ':': {field:?}")))?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "epc" => {
-                let hex = value.trim_matches('"');
-                if hex.len() != 24 {
-                    return Err(parse_err(line_no, format!("EPC hex length {}", hex.len())));
-                }
-                let mut bytes = [0u8; 12];
-                for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-                    let pair = std::str::from_utf8(chunk)
-                        .map_err(|_| parse_err(line_no, "EPC not UTF-8"))?;
-                    bytes[i] = u8::from_str_radix(pair, 16)
-                        .map_err(|_| parse_err(line_no, format!("EPC hex digit {pair:?}")))?;
-                }
-                epc = Some(Epc96::from_bytes(bytes));
-            }
-            "tag" => {
-                tag =
-                    Some(TagId(value.parse().map_err(|_| {
-                        parse_err(line_no, format!("tag id {value:?}"))
-                    })?));
-            }
-            "time" | "phase" | "rss_dbm" | "doppler_hz" => {
-                let v: f64 = value
-                    .parse()
-                    .map_err(|_| parse_err(line_no, format!("number {value:?} for {key}")))?;
-                match key {
-                    "time" => time = Some(v),
-                    "phase" => phase = Some(v),
-                    "rss_dbm" => rss = Some(v),
-                    _ => doppler = Some(v),
-                }
-            }
-            "antenna_port" | "channel_index" => {
-                let v: u16 = value
-                    .parse()
-                    .map_err(|_| parse_err(line_no, format!("u16 {value:?} for {key}")))?;
-                if key == "antenna_port" {
-                    antenna = Some(v);
-                } else {
-                    channel = Some(v);
-                }
-            }
-            other => return Err(parse_err(line_no, format!("unknown field {other:?}"))),
-        }
-    }
-
-    let missing = |name: &str| parse_err(line_no, format!("missing field {name:?}"));
-    Ok(TagReport {
-        epc: epc.ok_or_else(|| missing("epc"))?,
-        tag: tag.ok_or_else(|| missing("tag"))?,
-        time: time.ok_or_else(|| missing("time"))?,
-        phase: phase.ok_or_else(|| missing("phase"))?,
-        rss_dbm: rss.ok_or_else(|| missing("rss_dbm"))?,
-        doppler_hz: doppler.ok_or_else(|| missing("doppler_hz"))?,
-        antenna_port: antenna.ok_or_else(|| missing("antenna_port"))?,
-        channel_index: channel.ok_or_else(|| missing("channel_index"))?,
-    })
+    let decode = |f: &mut json::Fields| {
+        Ok(TagReport {
+            epc: f.take("epc", |v| {
+                Epc96::from_hex(v.as_str()?).map_err(json::Error::new)
+            })?,
+            tag: TagId(f.take("tag", json::Value::as_uint)?),
+            time: f.take("time", json::Value::as_f64)?,
+            phase: f.take("phase", json::Value::as_f64)?,
+            rss_dbm: f.take("rss_dbm", json::Value::as_f64)?,
+            doppler_hz: f.take("doppler_hz", json::Value::as_f64)?,
+            antenna_port: f.take("antenna_port", json::Value::as_uint)?,
+            channel_index: f.take("channel_index", json::Value::as_uint)?,
+        })
+    };
+    json::parse(line)
+        .and_then(|doc| doc.object(decode))
+        .map_err(|e| TraceError::Parse {
+            line: line_no,
+            reason: e.to_string(),
+        })
 }
 
 /// Encodes one report as a length-prefixed binary record.

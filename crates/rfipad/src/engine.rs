@@ -1128,7 +1128,7 @@ fn stats_json(shared: &Shared) -> String {
              \"events_out\":{},\"out_of_order\":{},\"pending_events\":{},\
              \"queue_depth\":{},\"closed\":{},\"push_latency\":{{\"count\":{},\
              \"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}}}",
-            obs::expo::escape_json(&s.id),
+            obs::json::escape(&s.id),
             s.worker,
             s.reports_in,
             s.reports_dropped,
@@ -1263,7 +1263,7 @@ impl SessionCheckpoint {
         format!(
             "{{\"version\":{},\"id\":\"{}\",\"pipeline\":{}}}",
             SESSION_CHECKPOINT_VERSION,
-            obs::expo::escape_json(&self.id),
+            obs::json::escape(&self.id),
             self.pipeline.to_json(),
         )
     }
@@ -1275,53 +1275,20 @@ impl SessionCheckpoint {
     /// [`RfipadError::Checkpoint`] on malformed JSON, an unknown version,
     /// or unknown / missing fields — a corrupted or foreign document is
     /// rejected rather than half-restored.
-    pub fn from_json(json: &str) -> Result<Self, RfipadError> {
-        let reject = |msg: String| RfipadError::Checkpoint(msg);
-        let body = json
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| reject("session checkpoint is not a JSON object".into()))?;
-        let mut version = None;
-        let mut id = None;
-        let mut pipeline = None;
-        for field in crate::metrics::split_top_level(body) {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| reject(format!("field without ':': {field:?}")))?;
-            match key.trim().trim_matches('"') {
-                "version" => {
-                    version = Some(
-                        value
-                            .trim()
-                            .parse::<u64>()
-                            .map_err(|e| reject(format!("bad session checkpoint version: {e}")))?,
-                    );
-                }
-                "id" => {
-                    id = Some(
-                        crate::metrics::unescape_json_string(value.trim())
-                            .map_err(|e| reject(format!("bad session id: {e}")))?,
-                    );
-                }
-                "pipeline" => pipeline = Some(PipelineCheckpoint::from_json(value.trim())?),
-                other => {
-                    return Err(reject(format!(
-                        "unknown session checkpoint field {other:?}"
-                    )));
-                }
+    pub fn from_json(text: &str) -> Result<Self, RfipadError> {
+        Ok(obs::json::parse(text)?.object(|f| {
+            let version: u64 = f.take("version", obs::json::Value::as_uint)?;
+            if version != SESSION_CHECKPOINT_VERSION {
+                return Err(obs::json::Error::new(format!(
+                    "unsupported session checkpoint version {version} (expected \
+                     {SESSION_CHECKPOINT_VERSION})"
+                )));
             }
-        }
-        match (version, id, pipeline) {
-            (Some(SESSION_CHECKPOINT_VERSION), Some(id), Some(pipeline)) => {
-                Ok(Self { id, pipeline })
-            }
-            (Some(v), _, _) if v != SESSION_CHECKPOINT_VERSION => Err(reject(format!(
-                "unsupported session checkpoint version {v} (expected \
-                 {SESSION_CHECKPOINT_VERSION})"
-            ))),
-            _ => Err(reject("incomplete session checkpoint".into())),
-        }
+            Ok(Self {
+                id: f.take("id", |v| v.as_str().map(str::to_owned))?,
+                pipeline: f.take("pipeline", PipelineCheckpoint::from_value)?,
+            })
+        })?)
     }
 }
 

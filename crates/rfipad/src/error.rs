@@ -83,6 +83,12 @@ impl From<rfid_gen2::source::SourceError> for RfipadError {
     }
 }
 
+impl From<obs::json::Error> for RfipadError {
+    fn from(e: obs::json::Error) -> Self {
+        RfipadError::Checkpoint(e.to_string())
+    }
+}
+
 impl From<rfid_gen2::trace::TraceError> for RfipadError {
     fn from(e: rfid_gen2::trace::TraceError) -> Self {
         RfipadError::Source(e.to_string())

@@ -2,6 +2,7 @@
 //! segmentation insertion/underfill rates of the paper's Fig. 22.
 
 use crate::segmentation::StrokeSpan;
+use obs::json;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -94,9 +95,6 @@ impl ConfusionMatrix {
 
     /// Serializes the matrix as one JSON object:
     /// `{"counts":[{"truth":"a","predicted":"b","count":2}, ...]}`.
-    ///
-    /// The serde stand-in under `vendor/` cannot serialize, so the codec is
-    /// hand-rolled here, the same way `rfid_gen2::trace` persists reports.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counts\":[");
         for (i, ((t, p), c)) in self.counts.iter().enumerate() {
@@ -105,141 +103,38 @@ impl ConfusionMatrix {
             }
             out.push_str(&format!(
                 "{{\"truth\":\"{}\",\"predicted\":\"{}\",\"count\":{c}}}",
-                obs::expo::escape_json(t),
-                obs::expo::escape_json(p)
+                json::escape(t),
+                json::escape(p)
             ));
         }
         out.push_str("]}");
         out
     }
 
-    /// Parses a matrix from the [`ConfusionMatrix::to_json`] format.
+    /// Parses a matrix from the [`ConfusionMatrix::to_json`] format with
+    /// the strict [`obs::json`] reader. Each `(truth, predicted)` pair may
+    /// appear once.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed entry.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let body = json.trim();
-        let inner = body
-            .strip_prefix("{\"counts\":[")
-            .and_then(|s| s.strip_suffix("]}"))
-            .ok_or_else(|| "expected {\"counts\":[...]} wrapper".to_string())?;
-        let mut matrix = ConfusionMatrix::new();
-        if inner.trim().is_empty() {
-            return Ok(matrix);
-        }
-        for record in split_top_level(inner) {
-            let record = record.trim();
-            let entry = record
-                .strip_prefix('{')
-                .and_then(|s| s.strip_suffix('}'))
-                .ok_or_else(|| format!("expected object, got {record:?}"))?;
-            let mut truth = None;
-            let mut predicted = None;
-            let mut count: Option<u64> = None;
-            for field in split_top_level(entry) {
-                let (key, value) = field
-                    .split_once(':')
-                    .ok_or_else(|| format!("field without ':' in {entry:?}"))?;
-                match key.trim().trim_matches('"') {
-                    "truth" => truth = Some(unescape_json_string(value.trim())?),
-                    "predicted" => predicted = Some(unescape_json_string(value.trim())?),
-                    "count" => {
-                        count = Some(
-                            value
-                                .trim()
-                                .parse()
-                                .map_err(|e| format!("bad count in {entry:?}: {e}"))?,
-                        )
-                    }
-                    other => return Err(format!("unknown field {other:?}")),
-                }
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let entry = |f: &mut json::Fields| {
+            let truth = f.take("truth", |v| v.as_str().map(str::to_owned))?;
+            let predicted = f.take("predicted", |v| v.as_str().map(str::to_owned))?;
+            Ok(((truth, predicted), f.take("count", json::Value::as_uint)?))
+        };
+        let entries: Vec<((String, String), u64)> = json::parse(text)
+            .and_then(|doc| doc.object(|f| f.take("counts", |v| v.items(|e| e.object(entry)))))
+            .map_err(|e| e.to_string())?;
+        let mut counts = BTreeMap::new();
+        for (pair, count) in entries {
+            if counts.insert(pair, count).is_some() {
+                return Err("a (truth, predicted) pair appears twice".into());
             }
-            let (truth, predicted, count) = match (truth, predicted, count) {
-                (Some(t), Some(p), Some(c)) => (t, p, c),
-                _ => return Err(format!("incomplete entry {entry:?}")),
-            };
-            *matrix.counts.entry((truth, predicted)).or_default() += count;
         }
-        Ok(matrix)
+        Ok(Self { counts })
     }
-}
-
-/// Splits on commas that sit outside quoted strings and outside nested
-/// `{}`/`[]` — the boundaries between records in an array, or between
-/// fields inside one record. String contents (including escaped quotes and
-/// brace characters in label text) never split.
-///
-/// Shared with the checkpoint codec in [`crate::stage`], which follows the
-/// same hand-rolled JSON conventions.
-pub(crate) fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut prev_backslash = false;
-    let mut depth = 0usize;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            if prev_backslash {
-                prev_backslash = false;
-            } else if c == '\\' {
-                prev_backslash = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-        } else {
-            match c {
-                '"' => in_string = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth = depth.saturating_sub(1),
-                ',' if depth == 0 => {
-                    out.push(&s[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    out.push(&s[start..]);
-    out
-}
-
-/// Decodes one quoted JSON string (the subset [`ConfusionMatrix::to_json`]
-/// emits: `\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX`). Shared with the
-/// checkpoint codec in [`crate::stage`].
-pub(crate) fn unescape_json_string(quoted: &str) -> Result<String, String> {
-    let inner = quoted
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected quoted string, got {quoted:?}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                // Exactly four hex digits: `from_str_radix` alone would
-                // take a short `\u41` or a signed `\u+041`.
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    return Err(format!("bad \\u escape {hex:?}: need four hex digits"));
-                }
-                let code = u32::from_str_radix(&hex, 16)
-                    .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?);
-            }
-            other => return Err(format!("bad escape {other:?}")),
-        }
-    }
-    Ok(out)
 }
 
 impl fmt::Display for ConfusionMatrix {

@@ -12,7 +12,7 @@
 //! not offer:
 //!
 //! * **Checkpoint/restore.** Every stage can [`Stage::snapshot`] its
-//!   mutable state into a versioned, hand-rolled-JSON [`StageState`];
+//!   mutable state into a versioned JSON [`StageState`];
 //!   [`StageGraph::checkpoint`] bundles them into a
 //!   [`PipelineCheckpoint`] that [`StageGraph::restore_checkpoint`]
 //!   replays into a freshly built graph. A restored graph produces the
@@ -26,16 +26,17 @@
 //!
 //! Floats in checkpoints are persisted as IEEE-754 bit patterns
 //! (`f64::to_bits`), never decimal, so a snapshot/restore round trip is
-//! exact; the codec rejects unknown fields and versions it does not
+//! exact. Checkpoints are read with the strict [`obs::json`] reader; the
+//! codec rejects malformed JSON, unknown fields and versions it does not
 //! understand with [`RfipadError::Checkpoint`].
 
 use crate::error::RfipadError;
-use crate::metrics::split_top_level;
 use crate::pipeline::{OutOfOrderPolicy, PipelineEvent};
 use crate::recognizer::{RecognizedStroke, Recognizer};
 use crate::segmentation::StrokeSpan;
 use crate::streams::{TagStreams, TagStreamsBuilder};
 use hand_kinematics::stroke::{Stroke, StrokeShape};
+use obs::json;
 use rfid_gen2::epc::Epc96;
 use rfid_gen2::report::{TagId, TagReport};
 use sigproc::frames::{FrameBuilder, FrameSeq};
@@ -88,9 +89,8 @@ pub trait Stage {
 }
 
 /// A serialized stage snapshot: the owning stage's name plus its state
-/// as a hand-rolled JSON object (the same convention as
-/// [`crate::metrics::ConfusionMatrix`] — no serde in the persistence
-/// path).
+/// as a JSON object, written with `format!` and read back with
+/// [`obs::json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageState {
     stage: String,
@@ -459,30 +459,20 @@ impl Stage for Framing {
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
         check_stage_name(self.name(), state)?;
-        let mut last_processed = None;
-        let mut buffer = None;
-        let mut frames_diag = None;
-        for (key, value) in parse_fields(object_body(state.state())?)? {
-            match key.as_str() {
-                "last_processed_bits" => last_processed = Some(parse_bits(value)?),
-                "buffer" => {
-                    let mut reports = Vec::new();
-                    for item in array_items(value)? {
-                        reports.push(report_from_json(item)?);
-                    }
-                    buffer = Some(reports);
-                }
-                "frames" => frames_diag = Some(frame_diag_from_json(value)?),
-                other => return Err(checkpoint_err(format!("unknown framing field {other:?}"))),
-            }
-        }
-        self.last_processed =
-            last_processed.ok_or_else(|| checkpoint_err("framing state lacks last_processed"))?;
-        self.buffer = buffer.ok_or_else(|| checkpoint_err("framing state lacks buffer"))?;
+        let (last_processed, buffer, diag) = json::parse(state.state())?.object(|f| {
+            Ok((
+                f.take("last_processed_bits", bits)?,
+                f.take("buffer", |v| v.items(report_from_json))?,
+                f.take("frames", |v| {
+                    (!v.is_null()).then(|| frame_diag_from_json(v)).transpose()
+                })?,
+            ))
+        })?;
+        self.last_processed = last_processed;
+        self.buffer = buffer;
         self.invalidate_cache();
         self.hold_from = None;
         self.pending_trim = None;
-        let diag = frames_diag.ok_or_else(|| checkpoint_err("framing state lacks frames"))?;
         if let Some((anchor, frame_len, max_time)) = diag {
             // Rebuild the accumulator the next tick would build anyway
             // and verify it against the checkpointed diagnostics — a
@@ -654,25 +644,8 @@ impl Stage for Segmentation {
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
         check_stage_name(self.name(), state)?;
-        let mut reported = None;
-        for (key, value) in parse_fields(object_body(state.state())?)? {
-            match key.as_str() {
-                "reported_spans_bits" => {
-                    let mut spans = Vec::new();
-                    for item in array_items(value)? {
-                        spans.push(parse_bits(item)?);
-                    }
-                    reported = Some(spans);
-                }
-                other => {
-                    return Err(checkpoint_err(format!(
-                        "unknown segmentation field {other:?}"
-                    )))
-                }
-            }
-        }
-        self.reported_spans =
-            reported.ok_or_else(|| checkpoint_err("segmentation state lacks reported spans"))?;
+        self.reported_spans = json::parse(state.state())?
+            .object(|f| f.take("reported_spans_bits", |v| v.items(bits)))?;
         // The last segmentation is diagnostic only; it reappears at the
         // first tick after restore.
         self.last = None;
@@ -808,20 +781,8 @@ impl Stage for LetterRecognition {
 
     fn restore(&mut self, state: &StageState) -> Result<(), RfipadError> {
         check_stage_name(self.name(), state)?;
-        let mut pending = None;
-        for (key, value) in parse_fields(object_body(state.state())?)? {
-            match key.as_str() {
-                "pending" => {
-                    let mut strokes = Vec::new();
-                    for item in array_items(value)? {
-                        strokes.push(stroke_from_json(item)?);
-                    }
-                    pending = Some(strokes);
-                }
-                other => return Err(checkpoint_err(format!("unknown letter field {other:?}"))),
-            }
-        }
-        self.pending = pending.ok_or_else(|| checkpoint_err("letter state lacks pending"))?;
+        self.pending = json::parse(state.state())?
+            .object(|f| f.take("pending", |v| v.items(stroke_from_json)))?;
         Ok(())
     }
 }
@@ -1384,7 +1345,7 @@ impl Stage for StageGraph {
 /// A versioned snapshot of a [`StageGraph`]'s mutable state.
 ///
 /// Serialized with [`to_json`](Self::to_json) /
-/// [`from_json`](Self::from_json) — hand-rolled, floats as IEEE-754 bit
+/// [`from_json`](Self::from_json) — strict JSON, floats as IEEE-754 bit
 /// patterns, unknown fields and foreign versions rejected — so a
 /// checkpoint written by one process restores exactly in another.
 #[derive(Debug, Clone, PartialEq)]
@@ -1411,7 +1372,7 @@ impl PipelineCheckpoint {
         let stages: Vec<String> = self
             .stages
             .iter()
-            .map(|s| format!("\"{}\":{}", s.stage(), s.state()))
+            .map(|s| format!("\"{}\":{}", json::escape(s.stage()), s.state()))
             .collect();
         format!(
             "{{\"version\":{CHECKPOINT_VERSION},\"policy\":\"{policy}\",\"last_time_bits\":{},\
@@ -1426,77 +1387,55 @@ impl PipelineCheckpoint {
         )
     }
 
-    /// Parses a checkpoint serialized by [`to_json`](Self::to_json).
+    /// Parses a checkpoint serialized by [`to_json`](Self::to_json) with
+    /// the strict [`obs::json`] reader. Each stage's state is kept as its
+    /// source text, for the stage's own `restore` to decode.
     ///
     /// # Errors
     ///
     /// Returns [`RfipadError::Checkpoint`] on malformed JSON, an
     /// unsupported version, an unknown policy, or unknown/missing
     /// fields.
-    pub fn from_json(json: &str) -> Result<Self, RfipadError> {
-        let mut version = None;
-        let mut policy = None;
-        let mut last_time = None;
-        let mut out_of_order_count = None;
-        let mut finished = None;
-        let mut letter_gap_s = None;
-        let mut end_guard_s = None;
-        let mut stages = None;
-        for (key, value) in parse_fields(object_body(json)?)? {
-            match key.as_str() {
-                "version" => version = Some(parse_u64(value)?),
-                "policy" => {
-                    policy = Some(match value.trim().trim_matches('"') {
-                        "clamp" => OutOfOrderPolicy::Clamp,
-                        "drop" => OutOfOrderPolicy::Drop,
-                        other => {
-                            return Err(checkpoint_err(format!(
-                                "unknown out-of-order policy {other:?}"
-                            )))
-                        }
-                    })
-                }
-                "last_time_bits" => last_time = Some(parse_bits(value)?),
-                "out_of_order_count" => out_of_order_count = Some(parse_u64(value)?),
-                "finished" => finished = Some(parse_bool(value)?),
-                "letter_gap_bits" => letter_gap_s = Some(parse_bits(value)?),
-                "end_guard_bits" => end_guard_s = Some(parse_bits(value)?),
-                "stages" => {
-                    let mut parsed = Vec::new();
-                    for (stage, state) in parse_fields(object_body(value)?)? {
-                        parsed.push(StageState::new(stage, state));
-                    }
-                    stages = Some(parsed);
-                }
-                other => {
-                    return Err(checkpoint_err(format!(
-                        "unknown checkpoint field {other:?}"
-                    )))
-                }
+    pub fn from_json(text: &str) -> Result<Self, RfipadError> {
+        Ok(Self::from_value(&json::parse(text)?)?)
+    }
+
+    /// Decodes an already parsed checkpoint (the form a
+    /// [`crate::engine::SessionCheckpoint`] embeds).
+    pub(crate) fn from_value(doc: &json::Value<'_>) -> Result<Self, json::Error> {
+        doc.object(|f| {
+            let version: u64 = f.take("version", json::Value::as_uint)?;
+            if version != CHECKPOINT_VERSION {
+                return Err(json::Error::new(format!(
+                    "unsupported checkpoint version {version}"
+                )));
             }
-        }
-        let version = version.ok_or_else(|| checkpoint_err("checkpoint lacks a version"))?;
-        if version != CHECKPOINT_VERSION {
-            return Err(checkpoint_err(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
-        Ok(Self {
-            policy: policy.ok_or_else(|| checkpoint_err("checkpoint lacks policy"))?,
-            last_time: last_time.ok_or_else(|| checkpoint_err("checkpoint lacks last_time"))?,
-            out_of_order_count: out_of_order_count
-                .ok_or_else(|| checkpoint_err("checkpoint lacks out_of_order_count"))?,
-            finished: finished.ok_or_else(|| checkpoint_err("checkpoint lacks finished"))?,
-            letter_gap_s: letter_gap_s
-                .ok_or_else(|| checkpoint_err("checkpoint lacks letter_gap"))?,
-            end_guard_s: end_guard_s.ok_or_else(|| checkpoint_err("checkpoint lacks end_guard"))?,
-            stages: stages.ok_or_else(|| checkpoint_err("checkpoint lacks stages"))?,
+            Ok(Self {
+                policy: f.take("policy", |v| match v.as_str()? {
+                    "clamp" => Ok(OutOfOrderPolicy::Clamp),
+                    "drop" => Ok(OutOfOrderPolicy::Drop),
+                    other => Err(json::Error::new(format!(
+                        "unknown out-of-order policy {other:?}"
+                    ))),
+                })?,
+                last_time: f.take("last_time_bits", bits)?,
+                out_of_order_count: f.take("out_of_order_count", json::Value::as_uint)?,
+                finished: f.take("finished", json::Value::as_bool)?,
+                letter_gap_s: f.take("letter_gap_bits", bits)?,
+                end_guard_s: f.take("end_guard_bits", bits)?,
+                stages: f.take("stages", |v| {
+                    Ok(v.entries()?
+                        .iter()
+                        .map(|(stage, state)| StageState::new(stage.as_ref(), state.raw()))
+                        .collect())
+                })?,
+            })
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// Hand-rolled JSON plumbing (shared conventions with crate::metrics).
+// Checkpoint codec helpers. Floats travel as IEEE-754 bit patterns.
 
 fn checkpoint_err(msg: impl Into<String>) -> RfipadError {
     RfipadError::Checkpoint(msg.into())
@@ -1513,101 +1452,19 @@ fn check_stage_name(expected: &str, state: &StageState) -> Result<(), RfipadErro
 }
 
 fn expect_empty_state(state: &StageState) -> Result<(), RfipadError> {
-    if let Some((key, _)) = parse_fields(object_body(state.state())?)?
-        .into_iter()
-        .next()
-    {
-        return Err(checkpoint_err(format!(
-            "unknown {} field {key:?}",
-            state.stage()
-        )));
-    }
-    Ok(())
+    Ok(json::parse(state.state())?.object(|_| Ok(()))?)
 }
 
-fn preview(s: &str) -> String {
-    s.chars().take(40).collect()
-}
-
-fn object_body(s: &str) -> Result<&str, RfipadError> {
-    let t = s.trim();
-    t.strip_prefix('{')
-        .and_then(|x| x.strip_suffix('}'))
-        .map(str::trim)
-        .ok_or_else(|| checkpoint_err(format!("expected a JSON object at {:?}", preview(t))))
-}
-
-fn array_items(s: &str) -> Result<Vec<&str>, RfipadError> {
-    let t = s.trim();
-    let inner = t
-        .strip_prefix('[')
-        .and_then(|x| x.strip_suffix(']'))
-        .map(str::trim)
-        .ok_or_else(|| checkpoint_err(format!("expected a JSON array at {:?}", preview(t))))?;
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    Ok(split_top_level(inner))
-}
-
-fn parse_fields(body: &str) -> Result<Vec<(String, &str)>, RfipadError> {
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for part in split_top_level(body) {
-        let (key, value) = part
-            .split_once(':')
-            .ok_or_else(|| checkpoint_err(format!("expected key:value at {:?}", preview(part))))?;
-        out.push((key.trim().trim_matches('"').to_string(), value.trim()));
-    }
-    Ok(out)
-}
-
-fn parse_u64(s: &str) -> Result<u64, RfipadError> {
-    s.trim()
-        .parse::<u64>()
-        .map_err(|_| checkpoint_err(format!("expected an unsigned integer at {:?}", preview(s))))
-}
-
-fn parse_usize(s: &str) -> Result<usize, RfipadError> {
-    s.trim()
-        .parse::<usize>()
-        .map_err(|_| checkpoint_err(format!("expected an unsigned integer at {:?}", preview(s))))
-}
-
-fn parse_u16(s: &str) -> Result<u16, RfipadError> {
-    s.trim()
-        .parse::<u16>()
-        .map_err(|_| checkpoint_err(format!("expected a 16-bit integer at {:?}", preview(s))))
-}
-
-/// Parses an `f64` persisted as its IEEE-754 bit pattern (a `u64`).
-fn parse_bits(s: &str) -> Result<f64, RfipadError> {
-    Ok(f64::from_bits(parse_u64(s)?))
-}
-
-fn parse_bool(s: &str) -> Result<bool, RfipadError> {
-    match s.trim() {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(checkpoint_err(format!(
-            "expected a boolean at {:?}",
-            preview(other)
-        ))),
-    }
+/// Reads an `f64` persisted as its IEEE-754 bit pattern (a `u64`).
+fn bits(value: &json::Value<'_>) -> Result<f64, json::Error> {
+    value.as_uint().map(f64::from_bits)
 }
 
 fn report_to_json(r: &TagReport) -> String {
-    let epc: String = r
-        .epc
-        .as_bytes()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
     format!(
-        "{{\"epc\":\"{epc}\",\"tag\":{},\"time_bits\":{},\"phase_bits\":{},\"rss_bits\":{},\
+        "{{\"epc\":\"{}\",\"tag\":{},\"time_bits\":{},\"phase_bits\":{},\"rss_bits\":{},\
          \"doppler_bits\":{},\"antenna\":{},\"channel\":{}}}",
+        r.epc.to_hex(),
         r.tag.0,
         r.time.to_bits(),
         r.phase.to_bits(),
@@ -1618,80 +1475,33 @@ fn report_to_json(r: &TagReport) -> String {
     )
 }
 
-fn epc_from_hex(s: &str) -> Result<Epc96, RfipadError> {
-    let hex = s.trim().trim_matches('"');
-    if hex.len() != 24 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(checkpoint_err(format!(
-            "expected 24 hex digits of EPC at {:?}",
-            preview(hex)
-        )));
-    }
-    let mut bytes = [0u8; 12];
-    for (i, b) in bytes.iter_mut().enumerate() {
-        *b = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-            .map_err(|_| checkpoint_err("invalid EPC hex"))?;
-    }
-    Ok(Epc96::from_bytes(bytes))
-}
-
-fn report_from_json(s: &str) -> Result<TagReport, RfipadError> {
-    let mut epc = None;
-    let mut tag = None;
-    let mut time = None;
-    let mut phase = None;
-    let mut rss_dbm = None;
-    let mut doppler_hz = None;
-    let mut antenna_port = None;
-    let mut channel_index = None;
-    for (key, value) in parse_fields(object_body(s)?)? {
-        match key.as_str() {
-            "epc" => epc = Some(epc_from_hex(value)?),
-            "tag" => tag = Some(TagId(parse_u64(value)?)),
-            "time_bits" => time = Some(parse_bits(value)?),
-            "phase_bits" => phase = Some(parse_bits(value)?),
-            "rss_bits" => rss_dbm = Some(parse_bits(value)?),
-            "doppler_bits" => doppler_hz = Some(parse_bits(value)?),
-            "antenna" => antenna_port = Some(parse_u16(value)?),
-            "channel" => channel_index = Some(parse_u16(value)?),
-            other => return Err(checkpoint_err(format!("unknown report field {other:?}"))),
-        }
-    }
-    let missing = || checkpoint_err("report is missing a field");
-    Ok(TagReport {
-        epc: epc.ok_or_else(missing)?,
-        tag: tag.ok_or_else(missing)?,
-        time: time.ok_or_else(missing)?,
-        phase: phase.ok_or_else(missing)?,
-        rss_dbm: rss_dbm.ok_or_else(missing)?,
-        doppler_hz: doppler_hz.ok_or_else(missing)?,
-        antenna_port: antenna_port.ok_or_else(missing)?,
-        channel_index: channel_index.ok_or_else(missing)?,
+fn report_from_json(value: &json::Value<'_>) -> Result<TagReport, json::Error> {
+    value.object(|f| {
+        Ok(TagReport {
+            epc: f.take("epc", |v| {
+                Epc96::from_hex(v.as_str()?).map_err(json::Error::new)
+            })?,
+            tag: TagId(f.take("tag", json::Value::as_uint)?),
+            time: f.take("time_bits", bits)?,
+            phase: f.take("phase_bits", bits)?,
+            rss_dbm: f.take("rss_bits", bits)?,
+            doppler_hz: f.take("doppler_bits", bits)?,
+            antenna_port: f.take("antenna", json::Value::as_uint)?,
+            channel_index: f.take("channel", json::Value::as_uint)?,
+        })
     })
 }
 
-/// Parses the frame-accumulator diagnostics: `null` (no accumulator at
-/// snapshot time) or the `(anchor, frame_len, max_time)` bit patterns.
-fn frame_diag_from_json(s: &str) -> Result<Option<(u64, u64, u64)>, RfipadError> {
-    if s.trim() == "null" {
-        return Ok(None);
-    }
-    let mut anchor = None;
-    let mut frame_len = None;
-    let mut max_time = None;
-    for (key, value) in parse_fields(object_body(s)?)? {
-        match key.as_str() {
-            "anchor_bits" => anchor = Some(parse_u64(value)?),
-            "frame_len_bits" => frame_len = Some(parse_u64(value)?),
-            "max_time_bits" => max_time = Some(parse_u64(value)?),
-            other => return Err(checkpoint_err(format!("unknown frames field {other:?}"))),
-        }
-    }
-    let missing = || checkpoint_err("frame diagnostics are missing a field");
-    Ok(Some((
-        anchor.ok_or_else(missing)?,
-        frame_len.ok_or_else(missing)?,
-        max_time.ok_or_else(missing)?,
-    )))
+/// Reads the frame-accumulator diagnostics: the `(anchor, frame_len,
+/// max_time)` bit patterns.
+fn frame_diag_from_json(value: &json::Value<'_>) -> Result<(u64, u64, u64), json::Error> {
+    value.object(|f| {
+        Ok((
+            f.take("anchor_bits", json::Value::as_uint)?,
+            f.take("frame_len_bits", json::Value::as_uint)?,
+            f.take("max_time_bits", json::Value::as_uint)?,
+        ))
+    })
 }
 
 fn stroke_to_json(s: &RecognizedStroke) -> String {
@@ -1719,83 +1529,54 @@ fn stroke_to_json(s: &RecognizedStroke) -> String {
     )
 }
 
-fn shape_from_number(n: u64) -> Result<StrokeShape, RfipadError> {
+fn shape_from_json(value: &json::Value<'_>) -> Result<StrokeShape, json::Error> {
+    let n: u64 = value.as_uint()?;
     StrokeShape::all()
         .into_iter()
         .find(|s| u64::from(s.motion_number()) == n)
-        .ok_or_else(|| checkpoint_err(format!("unknown stroke shape {n}")))
+        .ok_or_else(|| json::Error::new(format!("unknown stroke shape {n}")))
 }
 
-fn stroke_from_json(s: &str) -> Result<RecognizedStroke, RfipadError> {
-    let mut shape = None;
-    let mut reversed = None;
-    let mut start = None;
-    let mut end = None;
-    let mut motion_shape = None;
-    let mut rows = None;
-    let mut cols = None;
-    let mut mask = None;
-    let mut centroid_row = None;
-    let mut centroid_col = None;
-    let mut bbox = None;
-    for (key, value) in parse_fields(object_body(s)?)? {
-        match key.as_str() {
-            "shape" => shape = Some(shape_from_number(parse_u64(value)?)?),
-            "reversed" => reversed = Some(parse_bool(value)?),
-            "start_bits" => start = Some(parse_bits(value)?),
-            "end_bits" => end = Some(parse_bits(value)?),
-            "motion_shape" => motion_shape = Some(shape_from_number(parse_u64(value)?)?),
-            "rows" => rows = Some(parse_usize(value)?),
-            "cols" => cols = Some(parse_usize(value)?),
-            "mask" => {
-                let bits = value.trim().trim_matches('"');
-                if !bits.bytes().all(|b| b == b'0' || b == b'1') {
-                    return Err(checkpoint_err("mask must be 0/1 digits"));
-                }
-                mask = Some(bits.bytes().map(|b| b == b'1').collect::<Vec<bool>>());
+fn stroke_from_json(value: &json::Value<'_>) -> Result<RecognizedStroke, json::Error> {
+    value.object(|f| {
+        let stroke = Stroke {
+            shape: f.take("shape", shape_from_json)?,
+            reversed: f.take("reversed", json::Value::as_bool)?,
+        };
+        let span = StrokeSpan {
+            start: f.take("start_bits", bits)?,
+            end: f.take("end_bits", bits)?,
+        };
+        let shape = f.take("motion_shape", shape_from_json)?;
+        let rows: usize = f.take("rows", json::Value::as_uint)?;
+        let cols: usize = f.take("cols", json::Value::as_uint)?;
+        let mask: Vec<bool> = f.take("mask", |v| {
+            let digits = v.as_str()?;
+            if !digits.bytes().all(|b| b == b'0' || b == b'1') {
+                return Err(json::Error::new("mask must be 0/1 digits"));
             }
-            "centroid_row_bits" => centroid_row = Some(parse_bits(value)?),
-            "centroid_col_bits" => centroid_col = Some(parse_bits(value)?),
-            "bbox" => {
-                let items = array_items(value)?;
-                if items.len() != 4 {
-                    return Err(checkpoint_err("bbox must have four coordinates"));
-                }
-                bbox = Some((
-                    parse_usize(items[0])?,
-                    parse_usize(items[1])?,
-                    parse_usize(items[2])?,
-                    parse_usize(items[3])?,
-                ));
-            }
-            other => return Err(checkpoint_err(format!("unknown stroke field {other:?}"))),
+            Ok(digits.bytes().map(|b| b == b'1').collect())
+        })?;
+        if rows == 0 || cols == 0 || rows.checked_mul(cols) != Some(mask.len()) {
+            return Err(json::Error::new("mask dimensions do not match its digits"));
         }
-    }
-    let missing = || checkpoint_err("stroke is missing a field");
-    let rows = rows.ok_or_else(missing)?;
-    let cols = cols.ok_or_else(missing)?;
-    let mask = mask.ok_or_else(missing)?;
-    if rows == 0 || cols == 0 || mask.len() != rows * cols {
-        return Err(checkpoint_err("mask dimensions do not match its digits"));
-    }
-    Ok(RecognizedStroke {
-        stroke: Stroke {
-            shape: shape.ok_or_else(missing)?,
-            reversed: reversed.ok_or_else(missing)?,
-        },
-        span: StrokeSpan {
-            start: start.ok_or_else(missing)?,
-            end: end.ok_or_else(missing)?,
-        },
-        motion: crate::motion::RecognizedMotion {
-            shape: motion_shape.ok_or_else(missing)?,
+        let motion = crate::motion::RecognizedMotion {
+            shape,
             mask: BinaryGrid::from_mask(rows, cols, mask),
             centroid: (
-                centroid_row.ok_or_else(missing)?,
-                centroid_col.ok_or_else(missing)?,
+                f.take("centroid_row_bits", bits)?,
+                f.take("centroid_col_bits", bits)?,
             ),
-            bbox: bbox.ok_or_else(missing)?,
-        },
+            bbox: f.take("bbox", |v| match v.items(json::Value::as_uint)?[..] {
+                [r0, r1, c0, c1] => Ok((r0, r1, c0, c1)),
+                _ => Err(json::Error::new("bbox must have four coordinates")),
+            })?,
+        };
+        Ok(RecognizedStroke {
+            stroke,
+            span,
+            motion,
+        })
     })
 }
 
@@ -1937,7 +1718,7 @@ mod tests {
         r.doppler_hz = -0.125;
         r.antenna_port = 3;
         r.channel_index = 17;
-        let back = report_from_json(&report_to_json(&r)).unwrap();
+        let back = report_from_json(&json::parse(&report_to_json(&r)).unwrap()).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.time.to_bits(), r.time.to_bits());
     }
@@ -1945,7 +1726,7 @@ mod tests {
     #[test]
     fn stroke_json_roundtrips() {
         let s = fake_stroke(1.25, 2.5);
-        let back = stroke_from_json(&stroke_to_json(&s)).unwrap();
+        let back = stroke_from_json(&json::parse(&stroke_to_json(&s)).unwrap()).unwrap();
         assert_eq!(back, s);
     }
 

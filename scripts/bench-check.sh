@@ -76,6 +76,23 @@ for example in quickstart virtual_keyboard airport_kiosk deployment_planner live
   echo "example $example: OK"
 done
 
+echo "== golden-trace pin (trace_tool record, both framings) =="
+# Re-record the golden session through the CLI and compare bytes with the
+# committed traces: pins the simulator, the reader and both on-disk trace
+# writers end to end. Any difference fails.
+pin_dir=$(mktemp -d)
+for ext in jsonl rftrace; do
+  cargo run --release --quiet -p experiments --bin trace_tool -- \
+    record "$pin_dir/golden_session.$ext" >/dev/null
+  if ! cmp "$pin_dir/golden_session.$ext" "tests/data/golden_session.$ext"; then
+    echo "bench-check: trace_tool record no longer writes tests/data/golden_session.$ext" >&2
+    rm -rf "$pin_dir"
+    exit 1
+  fi
+  echo "golden_session.$ext: byte-identical"
+done
+rm -rf "$pin_dir"
+
 echo "== simulator pin (perfbench tests + recorded letter accuracy) =="
 # A simulator change must not shift accuracy unnoticed: the benchmark's own
 # tests must pass, and the correct-letter counts it recomputes for seeds
